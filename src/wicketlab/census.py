@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
 from .hypergraph import TripartiteHypergraph, find_63, find_wickets
@@ -50,15 +49,14 @@ def grid_system(ids: Iterable[int]) -> TripartiteHypergraph:
     )
 
 
-def iter_linear_five_sets(firsts: Optional[Iterable[int]] = None) -> Iterator[tuple]:
+def iter_linear_five_sets() -> Iterator[tuple]:
     """Ascending 5-subsets of grid edges that form linear systems.
 
     Pairwise share counts prune each nesting level, so non-linear
     prefixes never expand.
     """
     share = SHARE
-    first_range = range(27) if firsts is None else firsts
-    for e1 in first_range:
+    for e1 in range(27):
         s1 = share[e1]
         for e2 in range(e1 + 1, 27):
             if s1[e2] > 1:
@@ -161,17 +159,12 @@ class CensusReport:
         )
 
 
-def _census_chunk(args) -> tuple:
-    firsts, use_detectors = args
+def run_census(use_detectors: bool = False) -> CensusReport:
+    """Classify every linear 5-edge system."""
     linear = wicket = six = both = cover = 0
     counterexamples: list = []
-    for ids in iter_linear_five_sets(firsts):
+    for ids, has_w, has_63 in iter_classified(use_detectors):
         linear += 1
-        if use_detectors:
-            has_w, has_63 = detector_classify(ids)
-        else:
-            has_w = system_has_wicket(ids)
-            has_63 = system_has_63(ids)
         if has_w:
             wicket += 1
         if has_63:
@@ -182,29 +175,6 @@ def _census_chunk(args) -> tuple:
             counterexamples.append(ids)
         if system_covers_grid(ids):
             cover += 1
-    return linear, wicket, six, both, cover, counterexamples
-
-
-def run_census(jobs: int = 1, use_detectors: bool = False) -> CensusReport:
-    """Classify every linear 5-edge system; `jobs` > 1 stripes the
-    outermost edge across worker processes."""
-    if jobs <= 1:
-        parts = [_census_chunk((None, use_detectors))]
-    else:
-        chunks = [
-            (range(start, 27, jobs), use_detectors) for start in range(jobs)
-        ]
-        with Pool(processes=jobs) as pool:
-            parts = pool.map(_census_chunk, chunks)
-    linear = wicket = six = both = cover = 0
-    counterexamples: list = []
-    for p_linear, p_wicket, p_six, p_both, p_cover, p_counter in parts:
-        linear += p_linear
-        wicket += p_wicket
-        six += p_six
-        both += p_both
-        cover += p_cover
-        counterexamples.extend(p_counter)
     return CensusReport(
         total_candidates=math.comb(27, 5),
         linear=linear,
@@ -212,7 +182,7 @@ def run_census(jobs: int = 1, use_detectors: bool = False) -> CensusReport:
         six_three=six,
         both=both,
         full_coverage=cover,
-        counterexamples=tuple(sorted(counterexamples)),
+        counterexamples=tuple(counterexamples),
     )
 
 

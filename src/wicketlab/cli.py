@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage or input-parse errors, 2 verification
-failures (a progression found in a claimed cap, a census
-counterexample), 3 exhausted resample budgets. All outputs are
-deterministic for fixed inputs and seeds; JSON objects are printed with
-sorted keys.
+Exit codes: 0 success, 1 usage or input-parse errors and a stdout
+closed before all output was written, 2 verification failures (a
+progression found in a claimed cap, a census counterexample), 3
+exhausted resample budgets. All outputs are deterministic for fixed
+inputs and seeds; JSON objects are printed with sorted keys.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def cmd_census(args) -> int:
     if jobs < 1:
         print(f"error: {source} must be at least 1", file=sys.stderr)
         return 1
-    report = run_census(jobs=jobs, use_detectors=args.detectors)
+    report = run_census(use_detectors=args.detectors)
     payload = {
         "total_candidates": report.total_candidates,
         "linear": report.linear,
@@ -417,7 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: WICKETLAB_JOBS or 1)",
+        help=(
+            "accepted for compatibility and validated (default: "
+            "WICKETLAB_JOBS or 1); the census runs in one process"
+        ),
     )
     census.add_argument(
         "--detectors",
@@ -437,7 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     exponent = bounds_sub.add_parser("exponent")
     exponent.add_argument("--base", type=float)
     exponent.add_argument("--selected", type=int)
-    exponent.add_argument("--n", type=int)
+    exponent.add_argument(
+        "--n",
+        type=int,
+        help="GF(3) dimension; the vertex count is taken as 3^(n+1)",
+    )
     corollary = bounds_sub.add_parser("corollary")
     corollary.add_argument("--c", type=float, required=True)
     gl = bounds_sub.add_parser("gl")
@@ -479,7 +486,15 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so the
+        # interpreter's final flush of the buffered rest stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -76,7 +76,7 @@ def color_edges(
         wickets = build_wickets(build)
     wickets = list(wickets)
     m = h.edge_count
-    k = colors_needed(len(build.elements) if hasattr(build, "elements") else len(build.cap))
+    k = colors_needed(len(build.directions))
 
     edge_to_wickets: dict = {}
     for idx, witness in enumerate(wickets):

@@ -1,170 +1,148 @@
 """Linear tripartite hypergraphs built from progression-free sets.
 
-Three families share one edge shape: pick a base point a and a
-direction s from the ingested set S, and connect one vertex per class.
+Three families share one construction: pick a base point a and a
+direction s from the ingested set S, and connect one vertex per class
+by the edge (a, a + mu*s, a + nu*s), where lam = nu / mu is a root of
+x^2 - x + 1 in the ring:
 
-* GF(3) vectors: (a, a+s, a+2s) with lifted directions (s, 1), so every
-  edge is an affine line of F_3^{n+1};
-* residues mod n = k^2-k+1: (a, a+s, a+ks);
-* Eisenstein points: (a, a-s, a+ws) with w the primitive cube root.
+* GF(3) vectors: (mu, nu) = (1, 2), lam = 2; with lifted directions
+  (s, 1) every edge is an affine line of F_3^{n+1};
+* residues mod n = k^2-k+1: (mu, nu) = (1, k), lam = k;
+* Eisenstein points: (mu, nu) = (-1, w) with w the primitive cube
+  root, lam = -w.
 
 Wickets in such a build are governed by a two-relation linear system in
 the five direction variables (s, t, u, v, w): labeling the wicket's
 columns (x, s), (y, u) and rows (x, w), (y, t), (z, v), the six
 row/column incidences force
 
-    base relations   y = x + s - t (shift case) and z from the C-class
-                     incidence, leaving
-    R0               s - t + k(u - w) = 0          (mod case)
-    R1               (k-1)s + t - u - (k-1)v = 0,
+    base relations   y = x + mu(s - t), z = x + nu(s - v), leaving
+    R0               s - t + lam(u - w) = 0
+    R1               lam^2 s + t - u - lam^2 v = 0     (lam^2 = lam - 1).
 
-with the GF(3) case being k=2 and the Eisenstein case using w in place
-of k with adjusted signs. A solution yields a wicket exactly when eight
-side inequalities hold; they say the five edges are pairwise distinct
-and the rows and columns are disjoint. Those systems are exported here
-as EquationSpec values whose triviality rule is "some inequality
-fails", so eqfree.has_solution decides wicket existence.
+A solution yields a wicket exactly when eight side inequalities hold
+and the three bases exist; the inequalities say the five edges are
+pairwise distinct and the rows and columns are disjoint. The system is
+exported as an EquationSpec whose triviality rule is "some inequality
+fails", so eqfree.has_solution decides direction feasibility.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .eisenstein import (
-    OMEGA,
-    ONE,
-    ROT60,
-    ZERO,
-    EisensteinPoint,
-    region_points,
+from .eisenstein import OMEGA, ZERO, EisensteinPoint, region_points
+from .eqfree import (
+    EquationSpec,
+    _canon,
+    _is_zero,
+    iter_nontrivial_solutions,
 )
-from .eqfree import EquationSpec, has_solution, iter_nontrivial_solutions
 from .errors import WicketDecodeError
-from .gf3 import CapSet, Vec, decode, encode, f3_add, f3_scale
+from .gf3 import CapSet, Vec, all_vectors, decode, encode, f3_add, f3_scale
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
 
 @dataclass(frozen=True, eq=False)
-class F3Build:
-    """Edges (a, a+s, a+2s) over F_3^n for every a and every s in a cap."""
+class Build:
+    """Edges (a, a + mu*s, a + nu*s) for every direction s and base a.
 
-    dimension: int
-    cap: CapSet
-    hypergraph: TripartiteHypergraph
-    provenance: tuple  # edge id -> (base vector, direction vector)
-
-    @cached_property
-    def edge_index(self) -> dict:
-        return {pair: idx for idx, pair in enumerate(self.provenance)}
-
-
-@dataclass(frozen=True, eq=False)
-class ModularBuild:
-    """Edges (a, a+s, a+ks) over Z/n, n = k^2 - k + 1."""
-
-    k: int
-    n: int
-    elements: tuple
-    hypergraph: TripartiteHypergraph
-    provenance: tuple
-
-    @cached_property
-    def edge_index(self) -> dict:
-        return {pair: idx for idx, pair in enumerate(self.provenance)}
-
-
-@dataclass(frozen=True, eq=False)
-class EisensteinBuild:
-    """Edges (a, a-s, a+ws) with bases in a lattice disc.
-
-    All three vertex classes use the same expanded point list, padded
-    so that every edge endpoint has an index even at the boundary.
+    Edge ids run over the directions in order and, within one
+    direction, over the bases in order; provenance maps an edge id to
+    its (base, direction) pair.
     """
 
-    bound: int
-    norm: str
-    elements: tuple
-    region: tuple
-    vertices: tuple
+    directions: tuple
+    bases: tuple
     hypergraph: TripartiteHypergraph
-    provenance: tuple
-
-    @cached_property
-    def vertex_index(self) -> dict:
-        return {p: i for i, p in enumerate(self.vertices)}
+    provenance: tuple  # edge id -> (base, direction)
+    plane_families: bool  # GF(3): wickets come in affine planes
 
     @cached_property
     def edge_index(self) -> dict:
         return {pair: idx for idx, pair in enumerate(self.provenance)}
 
 
-def build_f3(cap: CapSet) -> F3Build:
-    if not cap.verified:
-        raise ValueError("build_f3 needs a verified progression-free set")
-    n = cap.dimension
-    size = 3**n
+def _build(
+    directions: Sequence,
+    bases: Sequence,
+    vertices: Sequence,
+    mu,
+    nu,
+    add: Callable = operator.add,
+    mul: Callable = operator.mul,
+    plane_families: bool = False,
+) -> Build:
+    """The one edge loop behind every family.
+
+    `vertices` lists every point an edge can touch; a vertex's index in
+    each of the three classes is its position in that list.
+    """
+    index = {p: i for i, p in enumerate(vertices)}
+    size = len(index)
     edges: list = []
     prov: list = []
-    for s in cap.sorted_elements:
-        s2 = f3_scale(2, s)
-        for a_enc in range(size):
-            a = decode(a_enc, n)
-            edges.append(
-                (a_enc, encode(f3_add(a, s)), encode(f3_add(a, s2)))
-            )
+    for s in directions:
+        ms, ns = mul(mu, s), mul(nu, s)
+        for a in bases:
+            edges.append((index[a], index[add(a, ms)], index[add(a, ns)]))
             prov.append((a, s))
     h = TripartiteHypergraph(class_sizes=(size, size, size), edges=tuple(edges))
-    return F3Build(dimension=n, cap=cap, hypergraph=h, provenance=tuple(prov))
+    return Build(
+        directions=tuple(directions),
+        bases=tuple(bases),
+        hypergraph=h,
+        provenance=tuple(prov),
+        plane_families=plane_families,
+    )
 
 
-def build_modular(elements: Iterable[int], k: int) -> ModularBuild:
+def build_f3(cap: CapSet) -> Build:
+    """(a, a+s, a+2s) for every a in F_3^n and every s in a verified cap."""
+    if not cap.verified:
+        raise ValueError("build_f3 needs a verified progression-free set")
+    vectors = tuple(all_vectors(cap.dimension))
+    return _build(
+        cap.sorted_elements,
+        vectors,
+        vectors,
+        1,
+        2,
+        add=f3_add,
+        mul=f3_scale,
+        plane_families=True,
+    )
+
+
+def build_modular(elements: Iterable[int], k: int) -> Build:
+    """(a, a+s, a+ks) over Z/n, n = k^2 - k + 1; elements reduce mod n."""
     if k < 2:
         raise ValueError("k must be at least 2")
     n = k * k - k + 1
-    elems = tuple(sorted({int(e) % n for e in elements}))
-    edges: list = []
-    prov: list = []
-    for s in elems:
-        for a in range(n):
-            edges.append((a, (a + s) % n, (a + k * s) % n))
-            prov.append((a, s))
-    h = TripartiteHypergraph(class_sizes=(n, n, n), edges=tuple(edges))
-    return ModularBuild(
-        k=k, n=n, elements=elems, hypergraph=h, provenance=tuple(prov)
-    )
+    elems = sorted({int(e) % n for e in elements})
+    residues = range(n)
+    return _build(elems, residues, residues, 1, k, add=lambda a, b: (a + b) % n)
 
 
 def build_eisenstein(
     elements: Iterable[EisensteinPoint], bound: int, norm: str = "coordinate"
-) -> EisensteinBuild:
+) -> Build:
+    """(a, a-s, a+ws) with bases a in a lattice disc.
+
+    All three vertex classes use the same expanded point list, padded
+    so that every edge endpoint has an index even at the boundary.
+    """
     region = region_points(bound, norm=norm)
-    elems = tuple(sorted(set(elements)))
+    elems = sorted(set(elements))
     deltas = {ZERO}
     for s in elems:
         deltas.add(-s)
         deltas.add(OMEGA * s)
-    vertices = tuple(sorted({p + d for p in region for d in deltas}))
-    index = {p: i for i, p in enumerate(vertices)}
-    size = len(vertices)
-    edges: list = []
-    prov: list = []
-    for s in elems:
-        ws = OMEGA * s
-        for a in region:
-            edges.append((index[a], index[a - s], index[a + ws]))
-            prov.append((a, s))
-    h = TripartiteHypergraph(class_sizes=(size, size, size), edges=tuple(edges))
-    return EisensteinBuild(
-        bound=bound,
-        norm=norm,
-        elements=elems,
-        region=region,
-        vertices=vertices,
-        hypergraph=h,
-        provenance=tuple(prov),
-    )
+    vertices = sorted({p + d for p in region for d in deltas})
+    return _build(elems, region, vertices, -1, OMEGA)
 
 
 @dataclass(frozen=True)
@@ -188,12 +166,12 @@ class PlaneWicketFamily:
         return tuple(sorted(self.edges_a + self.edges_b))
 
 
-def _plane_line_edge(build: F3Build, point: Vec, direction: Vec) -> int:
+def _plane_line_edge(build: Build, point: Vec, direction: Vec) -> int:
     """Edge id of the construction line through an A-class point."""
     return build.edge_index[(point[:-1], direction)]
 
 
-def enumerate_plane_wickets(build: F3Build) -> list:
+def enumerate_plane_wickets(build: Build) -> list:
     """All plane families for unordered direction pairs of the cap.
 
     Planes are cosets of span{lift(s), lift(t)}; the representative is
@@ -201,11 +179,10 @@ def enumerate_plane_wickets(build: F3Build) -> list:
     progression-free direction set no plane carries a third direction,
     so families never overlap in more than single edges.
     """
-    n = build.dimension
-    directions = build.cap.sorted_elements
+    directions = build.directions
     if len(directions) < 2:
         return []
-    big = n + 1
+    big = len(directions[0]) + 1
     total = 3**big
     families: list = []
     for i, s0 in enumerate(directions):
@@ -264,7 +241,7 @@ def enumerate_plane_wickets(build: F3Build) -> list:
 
 def build_wickets(build) -> list:
     """Every wicket of a build: structured for GF(3), detector otherwise."""
-    if isinstance(build, F3Build):
+    if build.plane_families:
         return [w for fam in enumerate_plane_wickets(build) for w in fam.wickets]
     return find_wickets(build.hypergraph)
 
@@ -334,51 +311,19 @@ def decode_wicket(build, witness: WicketWitness) -> dict:
     )
 
 
-def modular_wicket_system(k: int) -> EquationSpec:
+def wicket_system(lam, modulus: Optional[int] = None) -> EquationSpec:
     """Direction system whose non-degenerate solvability over S is
-    equivalent to the modular build containing a wicket.
+    equivalent to a wicket in a build with lam = nu / mu.
+
+    lam is a root of x^2 - x + 1 in its ring: k mod k^2 - k + 1, or
+    -w over the Eisenstein integers. Coefficients lam - 1 are written as
+    lam^2, which is equal in both rings.
 
     Degeneracy: any failed side inequality collapses two of the five
     edges or makes two parallel edges share a vertex, so such solutions
     do not correspond to wickets and count as trivial.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    n = k * k - k + 1
-
-    def degenerate(assign: dict) -> bool:
-        s, t, u, v, w = (assign[name] for name in "stuvw")
-        checks = (
-            (s - t) % n,  # columns share their A vertex
-            (s - v) % n,  # rows 1,3 share their A vertex
-            (s - w) % n,  # column 1 equals row 1
-            (t - u) % n,  # column 2 equals row 2
-            (k * w - s - (k - 1) * t) % n,  # rows 1,2 share their C vertex
-            (w - k * s + (k - 1) * v) % n,  # rows 1,3 share their B vertex
-            ((k - 1) * s - k * v + t) % n,  # rows 2,3 share their A vertex
-            ((k - 1) * s - k * u + t) % n,  # columns share their C vertex
-        )
-        return any(c == 0 for c in checks)
-
-    return EquationSpec(
-        name=f"wicket directions mod {n}",
-        variables=("s", "t", "u", "v", "w"),
-        relations=(
-            (("s", 1), ("t", -1), ("u", k), ("w", -k)),
-            (("s", k - 1), ("t", 1), ("u", -1), ("v", -(k - 1))),
-        ),
-        modulus=n,
-        trivial=degenerate,
-    )
-
-
-def eisenstein_wicket_system() -> EquationSpec:
-    """Direction system for wickets of the Eisenstein build.
-
-    Base feasibility (all three bases inside the disc) is checked
-    separately by eisenstein_wicket_witness; the system itself is about
-    directions only.
-    """
+    lam2 = lam * lam
 
     def degenerate(assign: dict) -> bool:
         s, t, u, v, w = (assign[name] for name in "stuvw")
@@ -387,60 +332,52 @@ def eisenstein_wicket_system() -> EquationSpec:
             s - v,  # rows 1,3 share their A vertex
             s - w,  # column 1 equals row 1
             t - u,  # column 2 equals row 2
-            ROT60 * s - t - OMEGA * u,  # columns share their C vertex
-            s - t - OMEGA * (t - w),  # rows 1,2 share their C vertex
-            w - ROT60 * v + OMEGA * s,  # rows 1,3 share their B vertex
-            t - s - OMEGA * (s - v),  # rows 2,3 share their A vertex
+            lam * w - s - lam2 * t,  # rows 1,2 share their C vertex
+            w - lam * s + lam2 * v,  # rows 1,3 share their B vertex
+            lam2 * s - lam * v + t,  # rows 2,3 share their A vertex
+            lam2 * s - lam * u + t,  # columns share their C vertex
         )
-        return any(c == ZERO for c in checks)
+        return any(_is_zero(c, modulus) for c in checks)
 
+    if modulus is None:
+        name = "wicket directions over the Eisenstein lattice"
+    else:
+        name = f"wicket directions mod {modulus}"
     return EquationSpec(
-        name="wicket directions over the Eisenstein lattice",
+        name=name,
         variables=("s", "t", "u", "v", "w"),
         relations=(
-            (("s", ONE), ("t", -ONE), ("u", -OMEGA), ("w", OMEGA)),
-            (("s", ROT60), ("t", -ONE), ("u", ONE), ("v", -ROT60)),
+            (("s", 1), ("t", -1), ("u", lam), ("w", -lam)),
+            (("s", lam2), ("t", 1), ("u", -1), ("v", -lam2)),
         ),
+        modulus=modulus,
         trivial=degenerate,
     )
 
 
-def modular_wicket_witness(elements: Iterable[int], k: int) -> Optional[dict]:
-    """Directions plus bases of one wicket of the modular build, or None.
-
-    Bases exist for every solution because the base group is all of
-    Z/n: x may sit anywhere, y and z follow from the incidences.
-    """
-    n = k * k - k + 1
-    values = sorted({int(e) % n for e in elements})
-    solution = has_solution(values, modular_wicket_system(k))
-    if solution is None:
-        return None
-    s, t, v = solution["s"], solution["t"], solution["v"]
-    x = 0
-    y = (x + s - t) % n
-    z = (x + k * s - k * v) % n
-    return {**solution, "x": x, "y": y, "z": z}
-
-
-def eisenstein_wicket_witness(
-    elements: Iterable[EisensteinPoint], region: Sequence[EisensteinPoint]
+def wicket_witness(
+    directions: Iterable,
+    bases: Sequence,
+    mu,
+    nu,
+    modulus: Optional[int] = None,
 ) -> Optional[dict]:
-    """Directions plus in-region bases of one Eisenstein-build wicket.
+    """Directions plus bases of one wicket of the build with these
+    directions, bases and edge multipliers (mu = 1 or -1), or None.
 
-    Unlike the modular case the bases are constrained: x, y = x - s + t
-    and z = x + w(s - v) must all be disc points, so direction
-    solutions are filtered through that feasibility scan.
+    A direction solution yields a wicket only when x, y = x + mu(s - t)
+    and z = x + nu(s - v) are all bases. Over Z/n every residue is a
+    base, so the first solution always qualifies; in a lattice disc a
+    solution can have no feasible base at all.
     """
-    region = tuple(region)
-    region_set = set(region)
-    spec = eisenstein_wicket_system()
-    for solution in iter_nontrivial_solutions(sorted(set(elements)), spec):
-        shift_y = solution["t"] - solution["s"]
-        shift_z = OMEGA * (solution["s"] - solution["v"])
-        for x in region:
-            y = x + shift_y
-            z = x + shift_z
-            if y in region_set and z in region_set:
+    base_set = set(bases)
+    spec = wicket_system(mu * nu, modulus)  # nu / mu, as mu is +-1
+    for solution in iter_nontrivial_solutions(directions, spec):
+        shift_y = mu * (solution["s"] - solution["t"])
+        shift_z = nu * (solution["s"] - solution["v"])
+        for x in bases:
+            y = _canon(x + shift_y, modulus)
+            z = _canon(x + shift_z, modulus)
+            if y in base_set and z in base_set:
                 return {**solution, "x": x, "y": y, "z": z}
     return None

@@ -15,14 +15,18 @@ class DimensionMismatchError(WicketlabError, ValueError):
     """Vectors of different dimensions were combined."""
 
 
-class CapFileError(WicketlabError, ValueError):
-    """A cap file could not be parsed."""
+class _ParseError(WicketlabError, ValueError):
+    """An input file could not be parsed; `line` is 1-based or None."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class CapFileError(_ParseError):
+    """A cap file could not be parsed."""
 
 
 class CapVerificationError(WicketlabError):
@@ -33,24 +37,12 @@ class CapVerificationError(WicketlabError):
         super().__init__(f"{message}: {witness}")
 
 
-class HypergraphFileError(WicketlabError, ValueError):
+class HypergraphFileError(_ParseError):
     """A hypergraph file could not be parsed."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class SetFileError(WicketlabError, ValueError):
+class SetFileError(_ParseError):
     """A set file (integers or lattice pairs) could not be parsed."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class NonLinearError(WicketlabError, ValueError):

@@ -140,7 +140,7 @@ def witness_json(witness) -> dict:
 def find_wickets(
     h: TripartiteHypergraph, limit: Optional[int] = None
 ) -> list:
-    """All wickets, deduplicated by 5-edge set.
+    """All wickets, each 5-edge set once.
 
     Outer loop: unordered pairs of disjoint edges, tried as the two
     columns. Candidate rows meet both columns in exactly one vertex
@@ -149,13 +149,16 @@ def find_wickets(
     disjoint forces all nine vertices distinct. Every condition is
     checked edge-set-wise, so non-linear inputs are fine: their extra
     overlaps simply disqualify the pairs involved.
+
+    No 5-set is reached twice: its only disjoint pairs are the columns
+    and the three row pairs, and a row pair taken as columns would
+    leave both old columns among the rows, which meet the third row.
     """
     if limit is not None and limit <= 0:
         return []
     vsets = h.edge_vertex_sets
     m = len(vsets)
     found: list = []
-    seen: set = set()
     for i in range(m):
         vi = vsets[i]
         for j in range(i + 1, m):
@@ -181,10 +184,6 @@ def find_wickets(
                         er = candidates[r]
                         if (vsets[ep] & vsets[er]) or (vsets[eq] & vsets[er]):
                             continue
-                        key = frozenset((i, j, ep, eq, er))
-                        if key in seen:
-                            continue
-                        seen.add(key)
                         found.append(
                             WicketWitness(
                                 rows=tuple(sorted((ep, eq, er))),

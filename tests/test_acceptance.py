@@ -22,13 +22,12 @@ from wicketlab.construction import (
     build_modular,
     build_wickets,
     decode_wicket,
-    eisenstein_wicket_system,
-    eisenstein_wicket_witness,
     enumerate_plane_wickets,
-    modular_wicket_system,
     wicket_dependency_degree,
+    wicket_system,
+    wicket_witness,
 )
-from wicketlab.eisenstein import EisensteinPoint, region_points
+from wicketlab.eisenstein import OMEGA, EisensteinPoint, region_points
 from wicketlab.eqfree import has_solution, max_free_exhaustive, modular_equation, ruzsa_equation
 from wicketlab.gf3 import binary_cap, max_cap_exact, product_cap
 from wicketlab.hypergraph import find_63, find_wickets
@@ -95,7 +94,7 @@ def test_criterion_2_corollary_reproduction():
 
 def test_criterion_3_five_edge_census():
     t0 = time.monotonic()
-    rep = run_census(jobs=1)
+    rep = run_census()
     ok = rep.total_candidates == math.comb(27, 5) == 80730
     ok = ok and rep.counterexamples == () and rep.verified
     ok = ok and rep.wicket + rep.six_three - rep.both == rep.linear
@@ -178,7 +177,7 @@ def test_criterion_7_cross_module_equivalence():
     fixtures = {2: ((0,), (0, 1)), 3: ((0, 1, 3), (0, 1, 2, 3))}
     for k, (free, poisoned) in fixtures.items():
         n = k * k - k + 1
-        spec = modular_wicket_system(k)
+        spec = wicket_system(k, n)
         for r in range(1, n + 1):
             for S in combinations(range(n), r):
                 detected = len(find_wickets(build_modular(S, k).hypergraph, limit=1)) > 0
@@ -193,7 +192,7 @@ def test_criterion_7_cross_module_equivalence():
     for r in range(1, len(region) + 1):
         for S in combinations(region, r):
             detected = len(find_wickets(build_eisenstein(S, 1).hypergraph, limit=1)) > 0
-            solvable = eisenstein_wicket_witness(S, region) is not None
+            solvable = wicket_witness(S, region, -1, OMEGA) is not None
             ok = ok and detected == solvable
     free6 = tuple(
         sorted(
@@ -209,9 +208,9 @@ def test_criterion_7_cross_module_equivalence():
     )
     poisoned6 = tuple(sorted(free6 + (EisensteinPoint(-1, -1),)))
     region2 = region_points(2, "coordinate")
-    ok = ok and eisenstein_wicket_witness(free6, region2) is None
+    ok = ok and wicket_witness(free6, region2, -1, OMEGA) is None
     ok = ok and find_wickets(build_eisenstein(free6, 2).hypergraph) == []
-    ok = ok and eisenstein_wicket_witness(poisoned6, region2) is not None
+    ok = ok and wicket_witness(poisoned6, region2, -1, OMEGA) is not None
     ok = ok and len(find_wickets(build_eisenstein(poisoned6, 2).hypergraph)) > 0
     _report(7, "cross-module equivalence", ok, time.monotonic() - t0, 60.0)
 

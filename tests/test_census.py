@@ -69,13 +69,6 @@ def test_detector_route_agrees():
         assert getattr(rep, key) == value, key
 
 
-def test_parallel_census_agrees():
-    rep = run_census(jobs=2)
-    assert rep.wicket == FROZEN["wicket"]
-    assert rep.six_three == FROZEN["six_three"]
-    assert rep.counterexamples == ()
-
-
 def test_linear_five_sets_complete():
     seen = set()
     for ids in iter_linear_five_sets():

@@ -256,14 +256,34 @@ def test_census_env_jobs():
     assert json.loads(res.stdout)["wicket"] == 216
 
     # The census output is the same for any job count, so only a rejected
-    # value shows that the variable is read. These fail before any worker
-    # process is started.
+    # value shows that the variable is read. These fail before the census
+    # runs.
     for bad in ("0", "abc"):
         res = run_with_jobs(bad)
         assert res.returncode == 1
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
         assert res.stderr.startswith("error: WICKETLAB_JOBS ")
+
+
+def test_closed_stdout_exits_quietly():
+    # The read end is closed before the child starts, so its first write
+    # to stdout fails with a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "wicketlab.cli", "census"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert "Exception ignored" not in res.stderr
 
 
 def test_set_file_errors_exit_one(tmp_path):

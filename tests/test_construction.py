@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,18 +9,16 @@ from wicketlab.construction import (
     build_modular,
     build_wickets,
     decode_wicket,
-    eisenstein_wicket_system,
-    eisenstein_wicket_witness,
     enumerate_plane_wickets,
-    modular_wicket_system,
-    modular_wicket_witness,
     wicket_dependency_degree,
+    wicket_system,
+    wicket_witness,
 )
 from wicketlab.eisenstein import EisensteinPoint, OMEGA, ROT60, ZERO, region_points
 from wicketlab.eqfree import has_solution
 from wicketlab.errors import WicketDecodeError
 from wicketlab.gf3 import CapSet, binary_cap, max_cap_exact, product_cap
-from wicketlab.hypergraph import find_63, find_wickets
+from wicketlab.hypergraph import find_63, find_wickets, write_hypergraph_text
 
 # wicket-free / wicket-carrying direction sets found by exhausting all
 # subsets against both the detector and the direction systems
@@ -121,7 +120,7 @@ def test_build_modular_shapes():
     assert find_wickets(h) == []
     # elements normalize mod n and dedup
     same = build_modular((0, 1, 3, 7, -4), 3)
-    assert same.elements == (0, 1, 3)
+    assert same.directions == (0, 1, 3)
 
 
 def test_build_modular_poisoned_has_wickets():
@@ -132,12 +131,15 @@ def test_build_modular_poisoned_has_wickets():
 def test_build_eisenstein_shapes():
     b = build_eisenstein(EIS_FREE, 2)
     h = b.hypergraph
-    assert h.edge_count == len(EIS_FREE) * len(b.region)
+    assert h.edge_count == len(EIS_FREE) * len(b.bases)
     assert h.is_linear
     assert find_wickets(h) == []
-    assert len(b.region) == 9
+    assert len(b.bases) == 9
     # expanded vertex set keeps all three shifted copies of the region
-    assert h.class_sizes[0] == len(b.vertices)
+    shifted = {
+        a + d for a in b.bases for s in EIS_FREE for d in (ZERO, -s, OMEGA * s)
+    }
+    assert h.class_sizes == (len(shifted),) * 3
 
 
 def test_build_eisenstein_poisoned_has_wickets():
@@ -147,7 +149,7 @@ def test_build_eisenstein_poisoned_has_wickets():
 
 def test_modular_system_constant_satisfies():
     for k in (2, 3, 4):
-        spec = modular_wicket_system(k)
+        spec = wicket_system(k, k * k - k + 1)
         assert spec.satisfied_by_constant(1)
 
 
@@ -160,7 +162,7 @@ def test_modular_witness_equivalence_exhaustive():
             for S in combinations(range(n), r):
                 build = build_modular(S, k)
                 detected = len(find_wickets(build.hypergraph, limit=1)) > 0
-                witness = modular_wicket_witness(S, k)
+                witness = wicket_witness(S, range(n), 1, k, n)
                 assert detected == (witness is not None), (k, S)
 
 
@@ -168,7 +170,7 @@ def test_modular_witness_points_at_real_wicket():
     for k, S in ((2, K2_POISONED), (3, K3_POISONED), (3, (0, 1, 4))):
         n = k * k - k + 1
         build = build_modular(S, k)
-        d = modular_wicket_witness(S, k)
+        d = wicket_witness(S, range(n), 1, k, n)
         assert d is not None
         ids = {
             build.edge_index[(d["x"], d["s"])],
@@ -185,7 +187,7 @@ def test_modular_decode_satisfies_system():
     k, S = 3, (0, 1, 4)
     n = 7
     build = build_modular(S, k)
-    spec = modular_wicket_system(k)
+    spec = wicket_system(k, n)
     for wit in find_wickets(build.hypergraph):
         d = decode_wicket(build, wit)
         assert (d["s"] - d["t"] + k * d["u"] - k * d["w"]) % n == 0
@@ -203,14 +205,14 @@ def test_eisenstein_witness_equivalence_small_region():
         for S in combinations(region, r):
             build = build_eisenstein(S, 1)
             detected = len(find_wickets(build.hypergraph, limit=1)) > 0
-            witness = eisenstein_wicket_witness(S, region)
+            witness = wicket_witness(S, region, -1, OMEGA)
             assert detected == (witness is not None), S
 
 
 def test_eisenstein_witness_fixture_pair():
     region = region_points(2, "coordinate")
-    assert eisenstein_wicket_witness(EIS_FREE, region) is None
-    d = eisenstein_wicket_witness(EIS_POISONED, region)
+    assert wicket_witness(EIS_FREE, region, -1, OMEGA) is None
+    d = wicket_witness(EIS_POISONED, region, -1, OMEGA)
     assert d is not None
     assert d["s"] - d["t"] - OMEGA * d["u"] + OMEGA * d["w"] == ZERO
     assert ROT60 * d["s"] - d["t"] + d["u"] - ROT60 * d["v"] == ZERO
@@ -228,13 +230,13 @@ def test_eisenstein_solution_without_feasible_base():
 
     pool = region_points(3, "ring")
     region = region_points(1, "coordinate")
-    spec = eisenstein_wicket_system()
+    spec = wicket_system(-OMEGA)
     cases = []
     for r in (2, 3):
         for S in combinations(pool, r):
             if has_solution(S, spec) is None:
                 continue
-            if eisenstein_wicket_witness(S, region) is None:
+            if wicket_witness(S, region, -1, OMEGA) is None:
                 cases.append(S)
     assert cases, "expected direction-feasible, base-infeasible sets"
     for S in cases[:6]:
@@ -247,3 +249,15 @@ def test_dependency_degree_bound():
         wickets = build_wickets(b)
         assert wicket_dependency_degree(wickets) <= 30 * len(cap)
     assert wicket_dependency_degree([]) == 0
+
+
+def test_golden_edges_and_provenance():
+    """Edge order and provenance of each family, pinned by digest."""
+    cases = (
+        (build_f3(binary_cap(2)), "ca4312ff95b26ee2"),
+        (build_modular(K3_FREE, 3), "1915778cdce15c00"),
+        (build_eisenstein(EIS_FREE, 2), "f95f53ba47f42489"),
+    )
+    for build, digest in cases:
+        text = write_hypergraph_text(build.hypergraph) + repr(build.provenance)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
