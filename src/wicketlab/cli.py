@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage or input-parse errors and a stdout
 closed before all output was written, 2 verification failures (a
-progression found in a claimed cap, a census counterexample), 3
-exhausted resample budgets. All outputs are deterministic for fixed
+progression found in a claimed cap, a census counterexample, a color
+class still holding a wicket because the wicket list was incomplete),
+3 exhausted resample budgets. All outputs are deterministic for fixed
 inputs and seeds; JSON objects are printed with sorted keys.
 """
 

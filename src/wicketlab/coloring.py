@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .construction import build_wickets
-from .errors import ColoringBudgetError
+from .errors import ColoringBudgetError, IncompleteWicketListError
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
 RESAMPLE_FACTOR = 100
@@ -69,7 +69,9 @@ def color_edges(
 
     Deterministic per (seed, attempts): attempt i uses the child seed
     seed * 1000003 + i. Raises ColoringBudgetError when every attempt
-    exceeds 100 * (wicket count + 1) resamples.
+    exceeds 100 * (wicket count + 1) resamples, and
+    IncompleteWicketListError when the chosen class still holds a
+    wicket, which means the `wickets` passed in were not all of them.
     """
     h = build.hypergraph
     if wickets is None:
@@ -132,7 +134,7 @@ def color_edges(
         )
         leftover = find_wickets(sub, limit=1)
         if leftover:
-            raise RuntimeError(
+            raise IncompleteWicketListError(
                 "selected color class still contains a wicket; "
                 "the wicket list passed in must have been incomplete"
             )

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: parse errors exit 1, verification
-failures exit 2, exhausted budgets exit 3.
+failures (including a coloring whose wicket list proves incomplete)
+exit 2, exhausted budgets exit 3.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class ColoringBudgetError(WicketlabError):
             f"resamples={diagnostics.get('resamples')}, "
             f"violated={diagnostics.get('violated')}); retry with a new seed"
         )
+
+
+class IncompleteWicketListError(WicketlabError):
+    """A color class left wicket-free by the given wicket list still
+    contains a wicket, so that list was incomplete."""
 
 
 class WicketDecodeError(WicketlabError):

@@ -53,9 +53,13 @@ class TripartiteHypergraph:
         return len(self.edges)
 
     @cached_property
-    def edge_vertex_sets(self) -> tuple:
+    def edge_masks(self) -> tuple:
+        """Each edge as an int with one bit per vertex: class 0 takes
+        bits 0..|A|-1, class 1 the next |B| bits, class 2 the rest."""
+        b = self.class_sizes[0]
+        c = b + self.class_sizes[1]
         return tuple(
-            frozenset(((0, a), (1, b), (2, c))) for (a, b, c) in self.edges
+            1 << x | 1 << (b + y) | 1 << (c + z) for x, y, z in self.edges
         )
 
     def linearity_violation(self) -> Optional[tuple]:
@@ -137,58 +141,91 @@ def witness_json(witness) -> dict:
     raise TypeError(f"not a witness: {witness!r}")
 
 
+def _ids(bits: int) -> list:
+    """Positions of the set bits of `bits`, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def find_wickets(
     h: TripartiteHypergraph, limit: Optional[int] = None
 ) -> list:
     """All wickets, each 5-edge set once.
 
-    Outer loop: unordered pairs of disjoint edges, tried as the two
-    columns. Candidate rows meet both columns in exactly one vertex
-    each (their third vertex then automatically falls outside both).
-    Any three pairwise-disjoint candidates close a wicket; rows being
-    disjoint forces all nine vertices distinct. Every condition is
-    checked edge-set-wise, so non-linear inputs are fine: their extra
-    overlaps simply disqualify the pairs involved.
+    Columns are pairs i < j of disjoint edges; rows are edges meeting
+    both columns in exactly one vertex (their third vertex then falls
+    outside both). Any three pairwise-disjoint rows close a wicket;
+    rows being disjoint forces all nine vertices distinct.
 
-    No 5-set is reached twice: its only disjoint pairs are the columns
-    and the three row pairs, and a row pair taken as columns would
-    leave both old columns among the rows, which meet the third row.
+    Vertex -> edge incidence lists give every edge its row set, the
+    edges meeting it in exactly one vertex, kept as a bitmask over edge
+    ids. An edge meeting it in two or more vertices is left out, so
+    non-linear inputs are fine: their extra overlaps simply disqualify
+    the pairs involved. Only edges meeting a row of i can share a row
+    with i, so the columns j are taken from that two-hop neighbourhood,
+    and the rows of the pair are rows[i] & rows[j].
+
+    The list is ordered by (i, j), then by row triple; `color_edges`
+    resamples the lowest-indexed violated wicket, so this order shapes
+    its output. No 5-set is reached twice: its only disjoint pairs are
+    the columns and the three row pairs, and a row pair taken as
+    columns would leave both old columns among the rows, which meet
+    the third row.
     """
     if limit is not None and limit <= 0:
         return []
-    vsets = h.edge_vertex_sets
-    m = len(vsets)
+    masks = h.edge_masks
+    verts = [_ids(edge) for edge in masks]
+    at: dict = {}  # vertex bit position -> ids of the edges through it
+    for e, vs in enumerate(verts):
+        for v in vs:
+            at.setdefault(v, []).append(e)
+    rows = []  # rows[e]: the edges meeting e in exactly one vertex, as bits
+    for edge, vs in zip(masks, verts):
+        bits = 0
+        for v in vs:
+            for f in at[v]:
+                if (edge & masks[f]).bit_count() == 1:
+                    bits |= 1 << f
+        rows.append(bits)
     found: list = []
-    for i in range(m):
-        vi = vsets[i]
-        for j in range(i + 1, m):
-            vj = vsets[j]
-            if vi & vj:
+    for i, mi in enumerate(masks):
+        ri = rows[i]
+        reach = 0
+        for f in _ids(ri):
+            reach |= rows[f]
+        # columns: edges j > i in the two-hop neighbourhood, disjoint from i
+        reach >>= i + 1
+        j = i
+        while reach:
+            step = (reach & -reach).bit_length()
+            reach >>= step
+            j += step
+            if masks[j] & mi:
                 continue
-            candidates = [
-                e
-                for e in range(m)
-                if e != i
-                and e != j
-                and len(vsets[e] & vi) == 1
-                and len(vsets[e] & vj) == 1
-            ]
+            shared = ri & rows[j]
+            if shared.bit_count() < 3:
+                continue
+            candidates = _ids(shared)
             nc = len(candidates)
             for p in range(nc):
                 ep = candidates[p]
+                mp = masks[ep]
                 for q in range(p + 1, nc):
                     eq = candidates[q]
-                    if vsets[ep] & vsets[eq]:
+                    mq = masks[eq]
+                    if mp & mq:
                         continue
                     for r in range(q + 1, nc):
                         er = candidates[r]
-                        if (vsets[ep] & vsets[er]) or (vsets[eq] & vsets[er]):
+                        if (mp | mq) & masks[er]:
                             continue
                         found.append(
-                            WicketWitness(
-                                rows=tuple(sorted((ep, eq, er))),
-                                columns=(i, j),
-                            )
+                            WicketWitness(rows=(ep, eq, er), columns=(i, j))
                         )
                         if limit is not None and len(found) >= limit:
                             return found
@@ -209,34 +246,40 @@ def find_63(
     """
     if limit is not None and limit <= 0:
         return []
-    vsets = h.edge_vertex_sets
-    m = len(vsets)
+    masks = h.edge_masks
+    m = len(masks)
     found: list = []
     for i in range(m):
-        vi = vsets[i]
+        mi = masks[i]
         for j in range(i + 1, m):
-            common_ij = vi & vsets[j]
-            if len(common_ij) != 1:
+            x = mi & masks[j]
+            if x.bit_count() != 1:
                 continue
-            (x,) = common_ij
             for k in range(j + 1, m):
-                vk = vsets[k]
-                common_ik = vk & vi
-                if len(common_ik) != 1:
+                mk = masks[k]
+                y = mk & mi
+                if y.bit_count() != 1:
                     continue
-                common_jk = vk & vsets[j]
-                if len(common_jk) != 1:
+                z = mk & masks[j]
+                if z.bit_count() != 1:
                     continue
-                (y,) = common_ik
-                (z,) = common_jk
                 if y == x or z == x:
                     continue
-                found.append(
-                    SixThreeWitness(edges=(i, j, k), shared=(x, y, z))
-                )
+                shared = tuple(_vertex(h, bit) for bit in (x, y, z))
+                found.append(SixThreeWitness(edges=(i, j, k), shared=shared))
                 if limit is not None and len(found) >= limit:
                     return found
     return found
+
+
+def _vertex(h: TripartiteHypergraph, bit: int) -> Vertex:
+    """The (class, index) vertex of a one-bit vertex mask."""
+    index = bit.bit_length() - 1
+    cls = 0
+    while index >= h.class_sizes[cls]:
+        index -= h.class_sizes[cls]
+        cls += 1
+    return (cls, index)
 
 
 def validate_wicket(h: TripartiteHypergraph, witness: WicketWitness) -> bool:
@@ -246,9 +289,9 @@ def validate_wicket(h: TripartiteHypergraph, witness: WicketWitness) -> bool:
         return False
     if any(not 0 <= e < len(h.edges) for e in ids):
         return False
-    vsets = h.edge_vertex_sets
-    rows = [vsets[e] for e in witness.rows]
-    cols = [vsets[e] for e in witness.columns]
+    masks = h.edge_masks
+    rows = [masks[e] for e in witness.rows]
+    cols = [masks[e] for e in witness.columns]
     for a in range(3):
         for b in range(a + 1, 3):
             if rows[a] & rows[b]:
@@ -257,10 +300,10 @@ def validate_wicket(h: TripartiteHypergraph, witness: WicketWitness) -> bool:
         return False
     for r in rows:
         for c in cols:
-            if len(r & c) != 1:
+            if (r & c).bit_count() != 1:
                 return False
     union = rows[0] | rows[1] | rows[2] | cols[0] | cols[1]
-    return len(union) == 9
+    return union.bit_count() == 9
 
 
 def validate_63(h: TripartiteHypergraph, witness: SixThreeWitness) -> bool:
@@ -269,18 +312,17 @@ def validate_63(h: TripartiteHypergraph, witness: SixThreeWitness) -> bool:
         return False
     if any(not 0 <= e < len(h.edges) for e in ids):
         return False
-    vsets = [h.edge_vertex_sets[e] for e in ids]
-    union = vsets[0] | vsets[1] | vsets[2]
-    if len(union) != 6:
+    masks = [h.edge_masks[e] for e in ids]
+    if (masks[0] | masks[1] | masks[2]).bit_count() != 6:
         return False
-    shared = []
+    shared = set()
     for a in range(3):
         for b in range(a + 1, 3):
-            common = vsets[a] & vsets[b]
-            if len(common) != 1:
+            common = masks[a] & masks[b]
+            if common.bit_count() != 1:
                 return False
-            shared.extend(common)
-    return len(set(shared)) == 3
+            shared.add(common)
+    return len(shared) == 3
 
 
 def write_hypergraph_text(h: TripartiteHypergraph) -> str:

@@ -7,7 +7,7 @@ code with the package.
 
 from itertools import combinations
 
-from wicketlab.hypergraph import TripartiteHypergraph
+from wicketlab.hypergraph import TripartiteHypergraph, WicketWitness
 
 
 # ---------------------------------------------------------------- GF(3)
@@ -111,6 +111,56 @@ def wickets_bruteforce(h: TripartiteHypergraph):
         if is_wicket_quintuple(h, ids):
             out.add(frozenset(ids))
     return out
+
+
+def wickets_column_scan(h: TripartiteHypergraph, limit=None):
+    """Every wicket as a WicketWitness, in the library's list order.
+
+    For each pair i < j of disjoint edges taken as columns, scan all m
+    edges for candidate rows meeting both in exactly one vertex, then
+    take every pairwise-disjoint triple of candidates in ascending
+    order. O(m^3) before the triples; the reference for list order,
+    while wickets_bruteforce is the reference for the set of wickets.
+    """
+    if limit is not None and limit <= 0:
+        return []
+    vsets = [edge_vertices(h, i) for i in range(h.edge_count)]
+    m = len(vsets)
+    found = []
+    for i in range(m):
+        vi = vsets[i]
+        for j in range(i + 1, m):
+            vj = vsets[j]
+            if vi & vj:
+                continue
+            candidates = [
+                e
+                for e in range(m)
+                if e != i
+                and e != j
+                and len(vsets[e] & vi) == 1
+                and len(vsets[e] & vj) == 1
+            ]
+            nc = len(candidates)
+            for p in range(nc):
+                ep = candidates[p]
+                for q in range(p + 1, nc):
+                    eq = candidates[q]
+                    if vsets[ep] & vsets[eq]:
+                        continue
+                    for r in range(q + 1, nc):
+                        er = candidates[r]
+                        if (vsets[ep] & vsets[er]) or (vsets[eq] & vsets[er]):
+                            continue
+                        found.append(
+                            WicketWitness(
+                                rows=tuple(sorted((ep, eq, er))),
+                                columns=(i, j),
+                            )
+                        )
+                        if limit is not None and len(found) >= limit:
+                            return found
+    return found
 
 
 def is_63_triple(h: TripartiteHypergraph, ids) -> bool:

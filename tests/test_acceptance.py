@@ -137,15 +137,17 @@ def test_criterion_5_coloring():
     ok = True
     one = binary_cap(1)
     cap3 = product_cap(product_cap(one, one), one)
-    for cap in (max_cap_exact(1), binary_cap(2), cap3):
+    caps = (max_cap_exact(1), binary_cap(2), cap3, binary_cap(4), binary_cap(5))
+    for cap in caps:
         b = build_f3(cap)
         k = colors_needed(len(cap))
         ok = ok and k == math.ceil((120 * len(cap)) ** 0.25)
-        sel = color_edges(b, seed=0)
+        wickets = build_wickets(b)
+        sel = color_edges(b, seed=0, wickets=wickets)
         ok = ok and sel.coloring.color_count == k
         ok = ok and len(sel.edge_ids) >= math.ceil(b.hypergraph.edge_count / k)
         ok = ok and find_wickets(sel.hypergraph) == []
-        again = color_edges(b, seed=0)
+        again = color_edges(b, seed=0, wickets=wickets)
         ok = ok and again.edge_ids == sel.edge_ids
         ok = ok and again.coloring.assignment == sel.coloring.assignment
     _report(5, "coloring", ok, time.monotonic() - t0, 300.0)

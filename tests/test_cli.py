@@ -189,6 +189,17 @@ def test_color_budget_exhaustion_maps_to_exit_3(monkeypatch, capsys):
     assert payload["attempts"] == 2
 
 
+def test_incomplete_wicket_list_maps_to_exit_2(monkeypatch, capsys, cap2):
+    # With no wickets to repair, the chosen class of seed 2 keeps one,
+    # which the final re-check reports.
+    monkeypatch.setattr(cli, "build_wickets", lambda build: [])
+    code = cli.main(["color", "f3", "--cap", cap2, "--seed", "2"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: selected color class still contains a wicket")
+
+
 def test_search_ruzsa_exhaustive():
     res = run_cli("search", "ruzsa", "--n", "10", "--mode", "exhaustive")
     assert res.returncode == 0

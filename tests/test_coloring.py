@@ -4,7 +4,7 @@ import pytest
 
 from wicketlab.coloring import color_edges, colors_needed
 from wicketlab.construction import build_f3, build_modular, build_wickets
-from wicketlab.errors import ColoringBudgetError
+from wicketlab.errors import ColoringBudgetError, IncompleteWicketListError
 from wicketlab.gf3 import binary_cap, max_cap_exact
 from wicketlab.hypergraph import WicketWitness, find_wickets
 
@@ -77,3 +77,9 @@ def test_color_edges_attempt_reseeding_is_stable():
     again = color_edges(b, seed=9, wickets=list(wickets))
     assert first.coloring.attempt == again.coloring.attempt
     assert first.coloring.resamples == again.coloring.resamples
+
+
+def test_color_edges_rejects_incomplete_wicket_list():
+    # an empty list leaves seed 2's chosen class with a wicket
+    with pytest.raises(IncompleteWicketListError):
+        color_edges(build_f3(binary_cap(2)), seed=2, wickets=[])

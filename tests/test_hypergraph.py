@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from wicketlab.construction import build_eisenstein, build_modular
+from wicketlab.eisenstein import region_points
 from wicketlab.errors import HypergraphFileError, NonLinearError
 from wicketlab.hypergraph import (
     SixThreeWitness,
@@ -20,6 +22,7 @@ from oracles import (
     random_linear_hypergraph,
     six_threes_bruteforce,
     wickets_bruteforce,
+    wickets_column_scan,
 )
 
 GRID_WICKET = TripartiteHypergraph(
@@ -112,6 +115,35 @@ def test_detectors_match_bruteforce_small():
     for _ in range(25):
         h = random_hypergraph(rng, sizes=(3, 3, 3), edges=8)
         assert {frozenset(w.edges) for w in find_63(h)} == six_threes_bruteforce(h)
+
+
+def _differential_inputs():
+    rng = random.Random(11)
+    for _ in range(20):
+        yield random_linear_hypergraph(rng, sizes=(5, 5, 5), edges=16)
+    for _ in range(20):
+        yield random_hypergraph(rng, sizes=(4, 4, 4), edges=18)
+    for k in (2, 3, 4):
+        n = k * k - k + 1
+        for size in (3, 4, 5):
+            yield build_modular(rng.sample(range(n), min(size, n)), k).hypergraph
+    for bound in (1, 2):
+        disc = region_points(bound)
+        for size in (3, 4, 5):
+            yield build_eisenstein(rng.sample(disc, size), bound).hypergraph
+
+
+def test_find_wickets_matches_column_scan_in_order():
+    """The list itself, order included, equals the all-edges column
+    scan: color_edges resamples by list index, so order is output."""
+    total = 0
+    for h in _differential_inputs():
+        for limit in (None, 1, 2):
+            found = find_wickets(h, limit)
+            assert found == wickets_column_scan(h, limit)
+            assert all(validate_wicket(h, w) for w in found)
+        total += len(find_wickets(h))
+    assert total > 0
 
 
 def test_witness_json_shapes():
