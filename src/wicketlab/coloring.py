@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .construction import build_wickets
+from .construction import build_wickets, wickets_by_edge
 from .errors import ColoringBudgetError, IncompleteWicketListError
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
@@ -80,10 +80,7 @@ def color_edges(
     m = h.edge_count
     k = colors_needed(len(build.directions))
 
-    edge_to_wickets: dict = {}
-    for idx, witness in enumerate(wickets):
-        for e in witness.edge_ids:
-            edge_to_wickets.setdefault(e, []).append(idx)
+    edge_to_wickets = wickets_by_edge(wickets)
 
     budget = RESAMPLE_FACTOR * (len(wickets) + 1)
     total_resamples = 0

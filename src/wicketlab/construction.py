@@ -25,13 +25,17 @@ and the three bases exist; the inequalities say the five edges are
 pairwise distinct and the rows and columns are disjoint. The system is
 exported as an EquationSpec whose triviality rule is "some inequality
 fails", so eqfree.has_solution decides direction feasibility.
+
+Over GF(3) the wickets are listed in closed form: the lifted lines of
+two directions s, t span one affine plane per coset of <t - s>, and
+the six edges in such a plane carry six wickets (one per omitted edge).
+The other families list theirs with the generic detector.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .eisenstein import OMEGA, ZERO, EisensteinPoint, region_points
@@ -42,7 +46,7 @@ from .eqfree import (
     iter_nontrivial_solutions,
 )
 from .errors import WicketDecodeError
-from .gf3 import CapSet, Vec, all_vectors, decode, encode, f3_add, f3_scale
+from .gf3 import CapSet, all_vectors, encode, f3_add, f3_scale, f3_sub
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
 
@@ -60,10 +64,6 @@ class Build:
     hypergraph: TripartiteHypergraph
     provenance: tuple  # edge id -> (base, direction)
     plane_families: bool  # GF(3): wickets come in affine planes
-
-    @cached_property
-    def edge_index(self) -> dict:
-        return {pair: idx for idx, pair in enumerate(self.provenance)}
 
 
 def _build(
@@ -145,122 +145,85 @@ def build_eisenstein(
     return _build(elems, region, vertices, -1, OMEGA)
 
 
-@dataclass(frozen=True)
-class PlaneWicketFamily:
-    """The six construction edges inside one affine plane of F_3^{n+1}.
-
-    A plane spanned by two lifted directions carries three parallel
-    edges per direction; every 5-subset of the six is a wicket (drop
-    one edge, the remaining pair from its direction are the columns).
-    """
-
-    base: Vec  # minimal-encode point of the plane, dimension n+1
-    dir_a: Vec  # base directions, dir_a before dir_b in encode order
-    dir_b: Vec
-    edges_a: tuple  # 3 edge ids in direction dir_a, sorted
-    edges_b: tuple
-    wickets: tuple  # 6 witnesses, one per omitted edge
-
-    @property
-    def edge_ids(self) -> tuple:
-        return tuple(sorted(self.edges_a + self.edges_b))
-
-
-def _plane_line_edge(build: Build, point: Vec, direction: Vec) -> int:
-    """Edge id of the construction line through an A-class point."""
-    return build.edge_index[(point[:-1], direction)]
-
-
 def enumerate_plane_wickets(build: Build) -> list:
-    """All plane families for unordered direction pairs of the cap.
+    """The (edges_a, edges_b) id triples of every GF(3) plane family.
 
-    Planes are cosets of span{lift(s), lift(t)}; the representative is
-    the minimal encode, which the ascending scan meets first. With a
-    progression-free direction set no plane carries a third direction,
-    so families never overlap in more than single edges.
+    For directions s before t, the lifted lines (s, 1) and (t, 1) span
+    one affine plane per coset L of <t - s> in F_3^n; its construction
+    edges are (a, s) and (a, t) for a in L, with edge id
+    direction index * 3^n + encode(a). The plane meets lifted
+    coordinate r in L + r*s, so the families of one pair are listed by
+    the least encode of their plane, min(3 * encode(x + r*s) + r).
     """
     directions = build.directions
-    if len(directions) < 2:
-        return []
-    big = len(directions[0]) + 1
-    total = 3**big
+    size = len(build.bases)
     families: list = []
-    for i, s0 in enumerate(directions):
-        s1 = s0 + (1,)
-        for t0 in directions[i + 1 :]:
-            t1 = t0 + (1,)
-            seen = bytearray(total)
-            for p_enc in range(total):
-                if seen[p_enc]:
-                    continue
-                p = decode(p_enc, big)
-                rho = p[-1]
-                for ci in range(3):
-                    for cj in range(3):
-                        q = f3_add(
-                            p, f3_add(f3_scale(ci, s1), f3_scale(cj, t1))
-                        )
-                        seen[encode(q)] = 1
-                edges_a = []
-                edges_b = []
-                for j in range(3):
-                    shift = (-rho - j) % 3
-                    point_a = f3_add(
-                        p, f3_add(f3_scale(shift, s1), f3_scale(j, t1))
-                    )
-                    edges_a.append(_plane_line_edge(build, point_a, s0))
-                    point_b = f3_add(
-                        p, f3_add(f3_scale(shift, t1), f3_scale(j, s1))
-                    )
-                    edges_b.append(_plane_line_edge(build, point_b, t0))
-                edges_a.sort()
-                edges_b.sort()
-                wickets = []
-                for omitted in edges_a:
-                    cols = tuple(e for e in edges_a if e != omitted)
-                    wickets.append(
-                        WicketWitness(rows=tuple(edges_b), columns=cols)
-                    )
-                for omitted in edges_b:
-                    cols = tuple(e for e in edges_b if e != omitted)
-                    wickets.append(
-                        WicketWitness(rows=tuple(edges_a), columns=cols)
-                    )
-                families.append(
-                    PlaneWicketFamily(
-                        base=p,
-                        dir_a=s0,
-                        dir_b=t0,
-                        edges_a=tuple(edges_a),
-                        edges_b=tuple(edges_b),
-                        wickets=tuple(wickets),
+    for i, s in enumerate(directions):
+        shifts = ((0,) * len(s), s, f3_scale(2, s))
+        for j in range(i + 1, len(directions)):
+            step = f3_sub(directions[j], s)
+            lead = next(k for k, x in enumerate(step) if x)
+            planes = []
+            for x in build.bases:
+                if x[lead]:
+                    continue  # one coset representative with x[lead] == 0
+                coset = (x, f3_add(x, step), f3_sub(x, step))
+                key = min(
+                    3 * encode(f3_add(y, shift)) + r
+                    for y in coset
+                    for r, shift in enumerate(shifts)
+                )
+                ids = sorted(encode(y) for y in coset)
+                planes.append(
+                    (
+                        key,
+                        tuple(i * size + e for e in ids),
+                        tuple(j * size + e for e in ids),
                     )
                 )
+            planes.sort()
+            families.extend(plane[1:] for plane in planes)
     return families
 
 
 def build_wickets(build) -> list:
-    """Every wicket of a build: structured for GF(3), detector otherwise."""
-    if build.plane_families:
-        return [w for fam in enumerate_plane_wickets(build) for w in fam.wickets]
-    return find_wickets(build.hypergraph)
+    """Every wicket of a build: structured for GF(3), detector otherwise.
+
+    Each GF(3) plane family gives six wickets: dropping one edge leaves
+    its two partners as the columns and the other direction's three
+    edges as the rows, first for each edge of edges_a, then of edges_b.
+    """
+    if not build.plane_families:
+        return find_wickets(build.hypergraph)
+    wickets = []
+    for edges_a, edges_b in enumerate_plane_wickets(build):
+        for rows, lines in ((edges_b, edges_a), (edges_a, edges_b)):
+            for omitted in lines:
+                columns = tuple(e for e in lines if e != omitted)
+                wickets.append(WicketWitness(rows=rows, columns=columns))
+    return wickets
+
+
+def wickets_by_edge(wickets: Sequence[WicketWitness]) -> dict:
+    """Edge id -> ascending indices of the wickets that contain it."""
+    index: dict = {}
+    for idx, witness in enumerate(wickets):
+        for e in witness.rows + witness.columns:
+            index.setdefault(e, []).append(idx)
+    return index
 
 
 def wicket_dependency_degree(wickets: Sequence[WicketWitness]) -> int:
     """Max number of other wickets sharing at least one edge with one."""
-    edge_to: dict = {}
-    for idx, witness in enumerate(wickets):
-        for e in witness.edge_ids:
-            edge_to.setdefault(e, []).append(idx)
-    worst = 0
-    for idx, witness in enumerate(wickets):
-        neighbors: set = set()
-        for e in witness.edge_ids:
-            neighbors.update(edge_to[e])
-        neighbors.discard(idx)
-        if len(neighbors) > worst:
-            worst = len(neighbors)
-    return worst
+    edge_to = wickets_by_edge(wickets)
+    # every wicket is in its own edges' lists, hence the - 1
+    return max(
+        (
+            len(set().union(*(edge_to[e] for e in w.rows + w.columns))) - 1
+            for w in wickets
+        ),
+        default=0,
+    )
 
 
 def decode_wicket(build, witness: WicketWitness) -> dict:

@@ -105,10 +105,13 @@ def _unit_sign(coeff) -> Optional[int]:
 def _solver_plan(spec: EquationSpec) -> Optional[tuple]:
     """Locate one relation term with a +-1 coefficient to solve for.
 
-    The chosen variable must appear exactly once in its relation, so
-    the remaining terms evaluate without it.
+    The relation needs a second term to solve from, and the chosen
+    variable must appear exactly once in it, so the remaining terms
+    evaluate without it.
     """
     for ridx, relation in enumerate(spec.relations):
+        if len(relation) < 2:
+            continue
         mentions: dict = {}
         for var, _coeff in relation:
             mentions[var] = mentions.get(var, 0) + 1
@@ -122,62 +125,47 @@ def _solver_plan(spec: EquationSpec) -> Optional[tuple]:
 
 
 def iter_nontrivial_solutions(S: Iterable, spec: EquationSpec) -> Iterator[dict]:
-    """Every non-trivial solving assignment, by full enumeration."""
-    values = sorted(set(S))
-    for combo in itertools.product(values, repeat=len(spec.variables)):
-        assignment = dict(zip(spec.variables, combo))
-        if spec.is_trivial(assignment):
-            continue
-        if all(
-            _is_zero(_relation_value(r, assignment), spec.modulus)
-            for r in spec.relations
-        ):
-            yield assignment
-
-
-def has_solution(S: Iterable, spec: EquationSpec) -> Optional[dict]:
-    """First non-trivial solution with values drawn from S, or None.
+    """Every non-trivial solving assignment with values drawn from S.
 
     When some relation carries a +-1 coefficient, that variable is
     solved from the others, saving one enumeration dimension; the
     remaining relations and the triviality rule are then checked on the
-    completed assignment.
+    completed assignment. Otherwise every assignment is enumerated.
     """
     values = sorted(set(S))
-    if not values:
-        return None
     plan = _solver_plan(spec)
-    if plan is not None:
-        ridx, tidx, _sign = plan
-        if len(spec.relations[ridx]) < 2:
-            plan = None  # single-term relation: nothing to solve from
     if plan is None:
-        return next(iter_nontrivial_solutions(values, spec), None)
-
-    members = {_canon(v, spec.modulus) for v in values}
-    ridx, tidx, sign = plan
-    relation = spec.relations[ridx]
-    solved_var = relation[tidx][0]
-    rest_terms = tuple(t for i, t in enumerate(relation) if i != tidx)
-    free_vars = tuple(v for v in spec.variables if v != solved_var)
-    other_relations = tuple(r for i, r in enumerate(spec.relations) if i != ridx)
+        solved_var, free_vars, checked = None, spec.variables, spec.relations
+    else:
+        ridx, tidx, sign = plan
+        relation = spec.relations[ridx]
+        solved_var = relation[tidx][0]
+        rest_terms = tuple(t for i, t in enumerate(relation) if i != tidx)
+        free_vars = tuple(v for v in spec.variables if v != solved_var)
+        checked = tuple(r for i, r in enumerate(spec.relations) if i != ridx)
+        members = {_canon(v, spec.modulus) for v in values}
 
     for combo in itertools.product(values, repeat=len(free_vars)):
         assignment = dict(zip(free_vars, combo))
-        rest = _relation_value(rest_terms, assignment)
-        candidate = _canon(-rest if sign == 1 else rest, spec.modulus)
-        if candidate not in members:
-            continue
-        assignment[solved_var] = candidate
+        if solved_var is not None:
+            rest = _relation_value(rest_terms, assignment)
+            candidate = _canon(-rest if sign == 1 else rest, spec.modulus)
+            if candidate not in members:
+                continue
+            assignment[solved_var] = candidate
         if not all(
             _is_zero(_relation_value(r, assignment), spec.modulus)
-            for r in other_relations
+            for r in checked
         ):
             continue
         if spec.is_trivial(assignment):
             continue
-        return assignment
-    return None
+        yield assignment
+
+
+def has_solution(S: Iterable, spec: EquationSpec) -> Optional[dict]:
+    """First non-trivial solution with values drawn from S, or None."""
+    return next(iter_nontrivial_solutions(S, spec), None)
 
 
 def is_free(S: Iterable, spec: EquationSpec) -> bool:

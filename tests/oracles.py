@@ -163,6 +163,76 @@ def wickets_column_scan(h: TripartiteHypergraph, limit=None):
     return found
 
 
+def plane_wickets_point_scan(build):
+    """Every wicket of a GF(3) build, in the library's list order.
+
+    For each direction pair s before t, scan all 3^(n+1) lifted points
+    in encode order; an unseen point is the least point of a new plane
+    p + span{(s, 1), (t, 1)}, whose three s-lines and three t-lines are
+    the family's edges. Each family yields six wickets, one per omitted
+    edge, first for the s-edges, then for the t-edges. The reference
+    for the order of build_wickets on GF(3) builds.
+    """
+
+    def add(a, b):
+        return tuple((x + y) % 3 for x, y in zip(a, b))
+
+    def scale(c, a):
+        return tuple((c * x) % 3 for x in a)
+
+    def encode(vec):
+        value = 0
+        for x in vec:
+            value = value * 3 + x
+        return value
+
+    def decode(value, dimension):
+        digits = []
+        for _ in range(dimension):
+            digits.append(value % 3)
+            value //= 3
+        return tuple(reversed(digits))
+
+    edge_of = {pair: idx for idx, pair in enumerate(build.provenance)}
+    directions = build.directions
+    if len(directions) < 2:
+        return []
+    big = len(directions[0]) + 1
+    total = 3**big
+    wickets = []
+    for i, s0 in enumerate(directions):
+        s1 = s0 + (1,)
+        for t0 in directions[i + 1 :]:
+            t1 = t0 + (1,)
+            seen = bytearray(total)
+            for p_enc in range(total):
+                if seen[p_enc]:
+                    continue
+                p = decode(p_enc, big)
+                rho = p[-1]
+                for ci in range(3):
+                    for cj in range(3):
+                        q = add(p, add(scale(ci, s1), scale(cj, t1)))
+                        seen[encode(q)] = 1
+                edges_a = []
+                edges_b = []
+                for j in range(3):
+                    shift = (-rho - j) % 3
+                    point_a = add(p, add(scale(shift, s1), scale(j, t1)))
+                    edges_a.append(edge_of[(point_a[:-1], s0)])
+                    point_b = add(p, add(scale(shift, t1), scale(j, s1)))
+                    edges_b.append(edge_of[(point_b[:-1], t0)])
+                edges_a.sort()
+                edges_b.sort()
+                for omitted in edges_a:
+                    cols = tuple(e for e in edges_a if e != omitted)
+                    wickets.append(WicketWitness(rows=tuple(edges_b), columns=cols))
+                for omitted in edges_b:
+                    cols = tuple(e for e in edges_b if e != omitted)
+                    wickets.append(WicketWitness(rows=tuple(edges_a), columns=cols))
+    return wickets
+
+
 def is_63_triple(h: TripartiteHypergraph, ids) -> bool:
     vs = [edge_vertices(h, i) for i in ids]
     if any(len(vs[i] & vs[j]) != 1 for i, j in combinations(range(3), 2)):

@@ -177,6 +177,20 @@ def test_color_f3_deterministic(tmp_path, cap2):
     assert data["k"] == 5 and data["total_edges"] == 36
 
 
+def test_color_f3_golden(tmp_path):
+    # Resampling always repairs the lowest-indexed violated wicket, so
+    # this output pins the order of the GF(3) wicket list as well.
+    path = tmp_path / "cap3.txt"
+    path.write_text("".join(f"{a}{b}{c}\n" for a in "01" for b in "01" for c in "01"))
+    res = run_cli("color", "f3", "--cap", str(path), "--seed", "12")
+    assert res.returncode == 0
+    assert res.stdout == (
+        '{"attempt": 0, "color": 0, "k": 6, "lower_bound": 36, '
+        '"resamples": 3, "seed": 12, "selected_edges": 43, '
+        '"total_edges": 216, "wickets": 1512}\n'
+    )
+
+
 def test_color_budget_exhaustion_maps_to_exit_3(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ColoringBudgetError({"attempts": 2, "resamples": 400, "violated": 3})

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import random
 
 import pytest
@@ -17,8 +19,9 @@ from wicketlab.construction import (
 from wicketlab.eisenstein import EisensteinPoint, OMEGA, ROT60, ZERO, region_points
 from wicketlab.eqfree import has_solution
 from wicketlab.errors import WicketDecodeError
-from wicketlab.gf3 import CapSet, binary_cap, max_cap_exact, product_cap
+from wicketlab.gf3 import CapSet, binary_cap, max_cap_exact, product_cap, verify_cap
 from wicketlab.hypergraph import find_63, find_wickets, write_hypergraph_text
+from oracles import ap3_free_cubic, plane_wickets_point_scan
 
 # wicket-free / wicket-carrying direction sets found by exhausting all
 # subsets against both the detector and the direction systems
@@ -67,7 +70,7 @@ def test_build_f3_shape_n2():
     assert h.is_linear and find_63(h) == []
     families = enumerate_plane_wickets(b)
     assert len(families) == 18
-    assert all(len(f.wickets) == 6 for f in families)
+    assert all(len(a) == len(b) == 3 for a, b in families)
     wickets = build_wickets(b)
     assert len(wickets) == 108
     assert wicket_dependency_degree(wickets) == 55
@@ -79,6 +82,35 @@ def test_plane_enumeration_matches_detector():
         plane = {w.edge_set for w in build_wickets(b)}
         generic = {w.edge_set for w in find_wickets(b.hypergraph)}
         assert plane == generic
+
+
+def _random_cap(rng, n):
+    vectors = list(itertools.product(range(3), repeat=n))
+    rng.shuffle(vectors)
+    target = rng.randint(1, 2 + 2 * n)
+    chosen = []
+    for v in vectors:
+        if len(chosen) < target and ap3_free_cubic(chosen + [v]):
+            chosen.append(v)
+    return verify_cap(n, chosen)
+
+
+def test_plane_wickets_match_point_scan_in_order():
+    caps = [binary_cap(n) for n in range(1, 5)]
+    caps += [max_cap_exact(n) for n in range(1, 4)]
+    caps += [
+        verify_cap(1, [(1,), (2,)]),  # t = 2s: the plane is all of F_3^2
+        verify_cap(2, [(1, 1), (2, 2)]),
+        verify_cap(3, [(0, 0, 0), (0, 1, 2), (1, 1, 1), (2, 0, 1)]),
+    ]
+    rng = random.Random(5)
+    caps += [_random_cap(rng, n) for n in range(1, 5) for _ in range(20)]
+    for cap in caps:
+        b = build_f3(cap)
+        wickets = build_wickets(b)
+        assert wickets == plane_wickets_point_scan(b), cap
+        m, n = len(cap), cap.dimension
+        assert len(wickets) == 6 * math.comb(m, 2) * 3 ** (n - 1)
 
 
 def test_single_direction_has_no_wickets():
@@ -172,12 +204,13 @@ def test_modular_witness_points_at_real_wicket():
         build = build_modular(S, k)
         d = wicket_witness(S, range(n), 1, k, n)
         assert d is not None
+        edge_of = {pair: idx for idx, pair in enumerate(build.provenance)}
         ids = {
-            build.edge_index[(d["x"], d["s"])],
-            build.edge_index[(d["y"], d["u"])],
-            build.edge_index[(d["x"], d["w"])],
-            build.edge_index[(d["y"], d["t"])],
-            build.edge_index[(d["z"], d["v"])],
+            edge_of[(d["x"], d["s"])],
+            edge_of[(d["y"], d["u"])],
+            edge_of[(d["x"], d["w"])],
+            edge_of[(d["y"], d["t"])],
+            edge_of[(d["z"], d["v"])],
         }
         assert len(ids) == 5
         assert ids in {w.edge_set for w in find_wickets(build.hypergraph)}
@@ -248,6 +281,9 @@ def test_dependency_degree_bound():
         b = build_f3(cap)
         wickets = build_wickets(b)
         assert wicket_dependency_degree(wickets) <= 30 * len(cap)
+    for n, degree in ((2, 55), (3, 155), (4, 355)):
+        wickets = build_wickets(build_f3(binary_cap(n)))
+        assert wicket_dependency_degree(wickets) == degree
     assert wicket_dependency_degree([]) == 0
 
 

@@ -1,8 +1,13 @@
+import functools
+import itertools
+import operator
 import random
 
 import pytest
 
-from wicketlab.eisenstein import EisensteinPoint, region_points
+from wicketlab.construction import wicket_system
+
+from wicketlab.eisenstein import OMEGA, EisensteinPoint, region_points
 from wicketlab.eqfree import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     EquationSpec,
@@ -88,6 +93,43 @@ def test_iter_nontrivial_solutions_complete():
     assert len(sols) == expected
     for sol in sols:
         assert (2 * sol["x"] - sol["y"] - sol["z"]) % 3 == 0
+
+
+def test_iter_nontrivial_solutions_matches_full_product():
+    # The enumerator solves one +-1 variable from the others; compare
+    # with a plain scan of every assignment.
+    cases = [
+        (ruzsa_equation(), range(-2, 5)),
+        (modular_equation(3), range(7)),
+        (equilateral_equation(), region_points(1)),
+        (wicket_system(2, 3), range(3)),
+        (wicket_system(3, 7), (0, 1, 2, 4, 5)),
+        (wicket_system(-OMEGA), region_points(1)),
+    ]
+    for spec, domain in cases:
+        values = sorted(set(domain))
+        expected = set()
+        for combo in itertools.product(values, repeat=len(spec.variables)):
+            assignment = dict(zip(spec.variables, combo))
+            solves = True
+            for relation in spec.relations:
+                terms = [coeff * assignment[var] for var, coeff in relation]
+                total = functools.reduce(operator.add, terms)
+                if spec.modulus is not None:
+                    solves = solves and total % spec.modulus == 0
+                else:
+                    solves = solves and total == total - total
+            if solves and not spec.is_trivial(assignment):
+                expected.add(combo)
+        found = [
+            tuple(sol[var] for var in spec.variables)
+            for sol in iter_nontrivial_solutions(values, spec)
+        ]
+        assert len(found) == len(set(found)), spec.name
+        assert set(found) == expected, spec.name
+        assert has_solution(values, spec) == (
+            dict(zip(spec.variables, found[0])) if found else None
+        )
 
 
 def test_exhaustive_matches_full_enumeration():
