@@ -80,6 +80,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(low: int):
+    """argparse type for integers of at least `low`, so resource inputs
+    are rejected before any work starts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -382,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("f3", "modular", "eisenstein"):
         sub = color_sub.choices[name]
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--attempts", type=int, default=8)
+        sub.add_argument("--attempts", type=_int_at_least(1), default=8)
         sub.add_argument("--out", help="write the selected class here")
         sub.set_defaults(func=cmd_color)
 
     search = top.add_parser("search", help="largest solution-free sets")
     search_sub = search.add_subparsers(dest="problem", required=True)
     ruzsa = search_sub.add_parser("ruzsa", help="3x+y=2z+2w over 1..n")
-    ruzsa.add_argument("--n", type=int, required=True)
+    ruzsa.add_argument("--n", type=_int_at_least(0), required=True)
     modular = search_sub.add_parser(
         "modular", help="kx-(k-1)y=z over the residues mod k^2-k+1"
     )
@@ -397,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     triangle = search_sub.add_parser(
         "triangle", help="equilateral-free subsets of a lattice disc"
     )
-    triangle.add_argument("--bound", type=int, required=True)
+    triangle.add_argument("--bound", type=_int_at_least(0), required=True)
     triangle.add_argument(
         "--norm", choices=("coordinate", "ring"), default="coordinate"
     )
@@ -408,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
         )
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--budget", type=int, default=2000)
+        sub.add_argument("--budget", type=_int_at_least(0), default=2000)
         sub.set_defaults(func=cmd_search)
 
     census = top.add_parser(

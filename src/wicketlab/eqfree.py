@@ -6,9 +6,17 @@ A set S is free when no assignment of S-values to the variables
 satisfies every relation non-trivially (by default, "trivial" means all
 variables take one common value).
 
-Searches: exact branch-and-bound for small domains, greedy plus
+Searches: exact branch and bound for small domains, greedy plus
 simulated annealing beyond that. Freeness is hereditary (dropping
 elements never creates a solution), which both searches rely on.
+
+The exact search lists every non-trivial solution over the domain once
+and keeps the inclusion-minimal solution value sets as bitmasks (the
+forbidden sets): a set is free exactly when it contains none of them.
+The branch and bound over these masks is shared with the exact cap
+search in `gf3`, whose forbidden sets are the lines. The heuristic
+calls `has_solution` per move, since its domains have no size limit,
+and every result's `verified` flag comes from `has_solution` too.
 """
 
 from __future__ import annotations
@@ -222,15 +230,83 @@ class SearchResult:
         return len(self.elements)
 
 
+def _forbidden_sets(items: list, spec: EquationSpec) -> list:
+    """Inclusion-minimal solution value sets over `items`, as bitmasks.
+
+    Bit i stands for items[i], and solution values are matched to items
+    by canonical value. A set is free exactly when it contains none of
+    these masks.
+    """
+    position = {_canon(v, spec.modulus): i for i, v in enumerate(items)}
+    masks = set()
+    for solution in iter_nontrivial_solutions(items, spec):
+        mask = 0
+        for value in solution.values():
+            mask |= 1 << position[_canon(value, spec.modulus)]
+        masks.add(mask)
+    minimal = []
+    for mask in masks:
+        sub = (mask - 1) & mask
+        while sub and sub not in masks:
+            sub = (sub - 1) & mask
+        if not sub:
+            minimal.append(mask)
+    return minimal
+
+
+def _max_free_mask(forbidden: list, size: int, chosen: int) -> int:
+    """Largest superset of the free bitmask `chosen` among bits
+    0..size-1 that contains no forbidden set, by branch and bound.
+
+    Candidates are tried in ascending bit order, so of the maximum sets
+    the search returns the first in depth-first order. Adding a bit
+    drops from the remaining candidates every bit that would complete
+    one of the forbidden sets through it; the same rule, applied to
+    `chosen`, gives the first candidates.
+    """
+    through: list = [[] for _ in range(size)]
+    rest = ((1 << size) - 1) & ~chosen
+    for f in forbidden:
+        missing = f & ~chosen
+        if missing.bit_count() == 1:
+            rest &= ~missing
+        bits = f
+        while bits:
+            low = bits & -bits
+            through[low.bit_length() - 1].append(f)
+            bits ^= low
+    best, best_size = chosen, chosen.bit_count()
+
+    def extend(current: int, count: int, rest: int) -> None:
+        nonlocal best, best_size
+        if count > best_size:
+            best, best_size = current, count
+        while count + rest.bit_count() > best_size:
+            low = rest & -rest
+            rest ^= low
+            trial = current | low
+            tail = rest
+            for f in through[low.bit_length() - 1]:
+                missing = f & ~trial
+                if missing.bit_count() == 1:
+                    tail &= ~missing
+            extend(trial, count + 1, tail)
+
+    extend(chosen, best_size, rest)
+    return best
+
+
 def max_free_exhaustive(
     domain: Iterable,
     spec: EquationSpec,
     max_domain: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> SearchResult:
-    """Maximum free subset by branch-and-bound over the sorted domain.
+    """Maximum free subset by branch and bound over the sorted domain.
 
-    Prunes on the remaining-domain bound and, after each inclusion,
-    drops candidates that would immediately complete a solution.
+    Lists the forbidden sets once, then searches over bitmasks: it
+    prunes on the remaining-domain bound and, after each inclusion,
+    drops candidates that would complete a forbidden set. Of the
+    maximum free subsets it returns the first in depth-first order.
     """
     items = sorted(set(domain))
     if len(items) > max_domain:
@@ -238,29 +314,8 @@ def max_free_exhaustive(
             f"domain has {len(items)} elements, exhaustive limit is "
             f"{max_domain}; use max_free_heuristic instead"
         )
-    best: list = []
-
-    def extend(current: list, rest: list) -> None:
-        nonlocal best
-        if len(current) > len(best):
-            best = list(current)
-        if len(current) + len(rest) <= len(best):
-            return
-        for idx, cand in enumerate(rest):
-            if len(current) + (len(rest) - idx) <= len(best):
-                break
-            trial = current + [cand]
-            if has_solution(trial, spec) is not None:
-                continue
-            tail = [
-                c
-                for c in rest[idx + 1 :]
-                if has_solution(trial + [c], spec) is None
-            ]
-            extend(trial, tail)
-
-    extend([], items)
-    elements = tuple(best)
+    best = _max_free_mask(_forbidden_sets(items, spec), len(items), 0)
+    elements = tuple(v for i, v in enumerate(items) if best >> i & 1)
     return SearchResult(
         elements=elements,
         method="exhaustive",

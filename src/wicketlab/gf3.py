@@ -16,6 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .eqfree import _max_free_mask
 from .errors import (
     CapFileError,
     CapVerificationError,
@@ -26,7 +27,7 @@ from .errors import (
 Vec = tuple[int, ...]
 
 # Exhaustive cap search degrades quickly with dimension; 3 is the last
-# dimension where plain backtracking stays interactive.
+# dimension where plain branch and bound stays interactive.
 MAX_EXACT_CAP_DIMENSION = 3
 
 
@@ -175,11 +176,13 @@ def lift_cap(cap: CapSet, dimension: int) -> CapSet:
 
 
 def max_cap_exact(dimension: int) -> CapSet:
-    """A maximum cap in F_3^n found by exhaustive backtracking (n <= 3).
+    """A maximum cap in F_3^n found by exhaustive branch and bound (n <= 3).
 
-    Zero-sum triples are translation invariant over GF(3), so some
-    maximum cap contains the zero vector; the search fixes it and only
-    branches over larger encodes.
+    The search is the one behind `max_free_exhaustive`, over the points
+    in encode order with the lines {a, b, -a-b} as forbidden sets. Lines
+    are translation invariant over GF(3), so some maximum cap contains
+    the zero vector; the search starts with it chosen and returns the
+    first maximum cap in depth-first order.
     """
     if dimension < 0:
         raise ValueError("dimension must be nonnegative")
@@ -192,38 +195,16 @@ def max_cap_exact(dimension: int) -> CapSet:
 
     size = 3**dimension
     vecs = [decode(i, dimension) for i in range(size)]
-    third = [
-        [encode(f3_neg(f3_add(vecs[a], vecs[b]))) for b in range(size)]
-        for a in range(size)
-    ]
-
-    best: list[int] = [0]
-    current: list[int] = [0]
-    blocked: dict[int, int] = {}
-
-    def dfs(start: int) -> None:
-        nonlocal best
-        if len(current) > len(best):
-            best = current.copy()
-        for c in range(start, size):
-            if len(current) + (size - c) <= len(best):
-                break
-            if blocked.get(c):
-                continue
-            added = [third[a][c] for a in current]
-            for t in added:
-                blocked[t] = blocked.get(t, 0) + 1
-            current.append(c)
-            dfs(c + 1)
-            current.pop()
-            for t in added:
-                if blocked[t] == 1:
-                    del blocked[t]
-                else:
-                    blocked[t] -= 1
-
-    dfs(1)
-    return CapSet(dimension, frozenset(vecs[i] for i in best), True)
+    lines = []
+    for a in range(size):
+        for b in range(a + 1, size):
+            c = encode(f3_neg(f3_add(vecs[a], vecs[b])))
+            if c > b:
+                lines.append(1 << a | 1 << b | 1 << c)
+    best = _max_free_mask(lines, size, 1)
+    return CapSet(
+        dimension, frozenset(v for i, v in enumerate(vecs) if best >> i & 1), True
+    )
 
 
 def parse_cap_text(text: str) -> CapSet:

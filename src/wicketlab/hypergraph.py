@@ -386,7 +386,3 @@ def parse_hypergraph_text(text: str) -> TripartiteHypergraph:
             f"header declares {declared} edges, file has {len(edges)}"
         )
     return TripartiteHypergraph(class_sizes=sizes, edges=tuple(edges))
-
-
-def load_hypergraph_file(path) -> TripartiteHypergraph:
-    return parse_hypergraph_text(Path(path).read_text())

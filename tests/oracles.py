@@ -2,7 +2,10 @@
 
 Everything here works straight from definitions (subset scans, raw
 nested loops, squared side lengths) and deliberately shares no helper
-code with the package.
+code with the package. The exceptions are earlier versions of fast
+paths, kept as references for the order of their output; of these,
+`max_free_first_by_has_solution` calls the library's `has_solution`,
+which other tests check against raw scans.
 """
 
 from itertools import combinations
@@ -77,6 +80,66 @@ def max_cap_unpruned_symmetry(n: int) -> int:
     if vecs:
         extend(1)
     return best[0]
+
+
+def max_cap_first_dfs(n: int) -> tuple:
+    """The first maximum cap through 0 in encode order, as a tuple of
+    vectors, by the counter-based backtracking `max_cap_exact` used
+    before it shared the forbidden-set search: each chosen pair blocks
+    its third point, and blocked points are skipped. The reference for
+    which cap `max_cap_exact` returns.
+    """
+    if n == 0:
+        return ((),)
+
+    def decode(value):
+        digits = []
+        for _ in range(n):
+            digits.append(value % 3)
+            value //= 3
+        return tuple(reversed(digits))
+
+    def encode(vec):
+        value = 0
+        for x in vec:
+            value = value * 3 + x
+        return value
+
+    size = 3**n
+    vecs = [decode(i) for i in range(size)]
+    third = [
+        [encode(tuple((-x - y) % 3 for x, y in zip(vecs[a], vecs[b])))
+         for b in range(size)]
+        for a in range(size)
+    ]
+
+    best = [0]
+    current = [0]
+    blocked = {}
+
+    def dfs(start):
+        nonlocal best
+        if len(current) > len(best):
+            best = current.copy()
+        for c in range(start, size):
+            if len(current) + (size - c) <= len(best):
+                break
+            if blocked.get(c):
+                continue
+            added = [third[a][c] for a in current]
+            for t in added:
+                blocked[t] = blocked.get(t, 0) + 1
+            current.append(c)
+            dfs(c + 1)
+            current.pop()
+            for t in added:
+                if blocked[t] == 1:
+                    del blocked[t]
+                else:
+                    blocked[t] -= 1
+
+    dfs(1)
+    return tuple(vecs[i] for i in best)
 
 
 # ------------------------------------------------------------ detectors
@@ -363,6 +426,41 @@ def ruzsa_max_fullenum(n: int) -> int:
         if c > best:
             best = c
     return best
+
+
+def max_free_first_by_has_solution(domain, spec) -> tuple:
+    """The first maximum free subset in depth-first order, by the
+    branch and bound `max_free_exhaustive` ran before the forbidden-set
+    index: it calls the library's `has_solution` on the trial set at
+    every node and on every tail candidate. The reference for which set
+    `max_free_exhaustive` returns.
+    """
+    from wicketlab.eqfree import has_solution
+
+    items = sorted(set(domain))
+    best: list = []
+
+    def extend(current: list, rest: list) -> None:
+        nonlocal best
+        if len(current) > len(best):
+            best = list(current)
+        if len(current) + len(rest) <= len(best):
+            return
+        for idx, cand in enumerate(rest):
+            if len(current) + (len(rest) - idx) <= len(best):
+                break
+            trial = current + [cand]
+            if has_solution(trial, spec) is not None:
+                continue
+            tail = [
+                c
+                for c in rest[idx + 1 :]
+                if has_solution(trial + [c], spec) is None
+            ]
+            extend(trial, tail)
+
+    extend([], items)
+    return tuple(best)
 
 
 def modular_solution_raw(S, k: int) -> bool:

@@ -250,6 +250,33 @@ def test_search_exhaustive_guard():
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "ruzsa", "--n", "-3"], "argument --n: must be at least 0"),
+        (
+            ["search", "triangle", "--bound", "-1"],
+            "argument --bound: must be at least 0",
+        ),
+        (
+            ["search", "modular", "--k", "3", "--budget", "-5"],
+            "argument --budget: must be at least 0",
+        ),
+        (
+            ["color", "modular", "--k", "2", "--set", "/dev/null", "--attempts", "0"],
+            "argument --attempts: must be at least 1",
+        ),
+    ],
+    ids=["search-n", "search-bound", "search-budget", "color-attempts"],
+)
+def test_negative_resource_input_exits_1(argv, message, capsys):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_census_cli(tmp_path):
     csv = tmp_path / "rows.csv"
     res = run_cli("census", "--minimality", "--csv", str(csv))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wicketlab.coloring import colors_needed
 from wicketlab.construction import (
     build_eisenstein,
     build_f3,
@@ -95,7 +96,7 @@ def _random_cap(rng, n):
     return verify_cap(n, chosen)
 
 
-def test_plane_wickets_match_point_scan_in_order():
+def _plane_test_caps():
     caps = [binary_cap(n) for n in range(1, 5)]
     caps += [max_cap_exact(n) for n in range(1, 4)]
     caps += [
@@ -105,12 +106,34 @@ def test_plane_wickets_match_point_scan_in_order():
     ]
     rng = random.Random(5)
     caps += [_random_cap(rng, n) for n in range(1, 5) for _ in range(20)]
-    for cap in caps:
+    return caps
+
+
+def test_plane_wickets_match_point_scan_in_order():
+    for cap in _plane_test_caps():
         b = build_f3(cap)
         wickets = build_wickets(b)
         assert wickets == plane_wickets_point_scan(b), cap
         m, n = len(cap), cap.dimension
         assert len(wickets) == 6 * math.comb(m, 2) * 3 ** (n - 1)
+
+
+def test_gf3_dependency_degree_closed_form():
+    # Each wicket meets the other five of its plane family and, through
+    # each of its five edges, 5(m - 2) wickets of other planes.
+    caps = [c for c in _plane_test_caps() if c.dimension <= 3] + [binary_cap(4)]
+    for cap in caps:
+        if len(cap) >= 2:
+            wickets = build_wickets(build_f3(cap))
+            assert wicket_dependency_degree(wickets) == 25 * len(cap) - 45, cap
+
+
+def test_local_lemma_slack_below_ceiling():
+    # With k^4 >= 120m and d = 25m - 45, the slack e(d + 1)/k^4 stays
+    # below 25e/120 for every cap size.
+    for m in range(2, 5000):
+        k = colors_needed(m)
+        assert math.e * (25 * m - 44) / k**4 < 25 * math.e / 120
 
 
 def test_single_direction_has_no_wickets():

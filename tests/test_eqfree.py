@@ -26,7 +26,13 @@ from wicketlab.eqfree import (
 )
 from wicketlab.errors import DomainTooLargeError, SetFileError
 from wicketlab.gf3 import all_vectors, is_ap3_free
-from oracles import F3Elem, modular_solution_raw, ruzsa_max_fullenum, ruzsa_solution_raw
+from oracles import (
+    F3Elem,
+    max_free_first_by_has_solution,
+    modular_solution_raw,
+    ruzsa_max_fullenum,
+    ruzsa_solution_raw,
+)
 
 RUZSA_OPTIMA = [1, 2, 2, 2, 2, 3, 4, 4, 4, 4, 4, 4]  # n = 1..12
 
@@ -140,6 +146,52 @@ def test_exhaustive_matches_full_enumeration():
         assert res.optimal and res.verified
 
 
+def _reduced_gf3_equation():
+    return EquationSpec(
+        name="y+z+w=0 over GF(3)^n",
+        variables=("y", "z", "w"),
+        relations=((("y", 1), ("z", 1), ("w", 1)),),
+    )
+
+
+def test_exhaustive_matches_has_solution_search_in_order():
+    # The forbidden-set branch and bound returns the same set, element
+    # for element, as the search that called has_solution at every node.
+    zero_counts = EquationSpec(
+        name="x+z=2y, all-zero non-trivial",
+        variables=("x", "y", "z"),
+        relations=((("x", 1), ("y", -2), ("z", 1)),),
+        trivial=lambda a: len(set(a.values())) == 1 and a["x"] != 0,
+    )
+    cases = [(ruzsa_equation(), range(1, n + 1)) for n in range(1, 19)]
+    cases += [(modular_equation(k), range(k * k - k + 1)) for k in range(2, 6)]
+    cases += [
+        (equilateral_equation(), region_points(bound, norm=norm))
+        for bound in range(1, 5)
+        for norm in ("coordinate", "ring")
+    ]
+    cases += [
+        (_reduced_gf3_equation(), [F3Elem(v) for v in all_vectors(2)]),
+        (wicket_system(2, 3), range(3)),
+        (wicket_system(3, 7), range(7)),
+        (zero_counts, range(-4, 9)),
+    ]
+    rng = random.Random(61)
+    for spec, domain in list(cases):
+        values = sorted(set(domain))
+        for _ in range(2):
+            sub = rng.sample(values, rng.randrange(len(values) + 1))
+            cases.append((spec, sub))
+    for spec, domain in cases:
+        result = max_free_exhaustive(domain, spec)
+        assert result.elements == max_free_first_by_has_solution(domain, spec), (
+            spec.name,
+            domain,
+        )
+        assert result.verified
+    assert 0 not in max_free_exhaustive(range(-4, 9), zero_counts).elements
+
+
 def test_exhaustive_domain_guard():
     spec = ruzsa_equation()
     with pytest.raises(DomainTooLargeError):
@@ -175,11 +227,7 @@ def test_reduced_gf3_equation_detects_caps():
     """Over GF(3) the quadruple equation loses its x term and turns
     into y + z + w = 0, whose nontrivial solutions are exactly the
     zero-sum triples of distinct vectors."""
-    reduced = EquationSpec(
-        name="y+z+w=0 over GF(3)^n",
-        variables=("y", "z", "w"),
-        relations=((("y", 1), ("z", 1), ("w", 1)),),
-    )
+    reduced = _reduced_gf3_equation()
     assert reduced.satisfied_by_constant(F3Elem((1, 0)))
     rng = random.Random(23)
     vecs = list(all_vectors(2))

@@ -29,7 +29,7 @@ from wicketlab.gf3 import (
     verify_cap,
     write_cap_file,
 )
-from oracles import ap3_free_cubic, max_cap_bruteforce
+from oracles import ap3_free_cubic, max_cap_bruteforce, max_cap_first_dfs
 
 
 def test_arithmetic_small_cases():
@@ -135,6 +135,13 @@ def test_max_cap_exact_values():
 def test_max_cap_exact_matches_bruteforce_small():
     for n in (1, 2):
         assert len(max_cap_exact(n)) == max_cap_bruteforce(n)
+
+
+def test_max_cap_exact_matches_backtracking_in_order():
+    # The shared forbidden-set search picks the same cap as the
+    # counter-based backtracking it replaced.
+    for n in range(4):
+        assert max_cap_exact(n).sorted_elements == max_cap_first_dfs(n)
 
 
 def test_max_cap_exact_dimension_guard():
