@@ -36,6 +36,7 @@ from .construction import (
     build_f3,
     build_modular,
     build_wickets,
+    plane_wicket_counts,
     wicket_dependency_degree,
 )
 from .eisenstein import EisensteinPoint, region_points
@@ -166,7 +167,12 @@ def _make_build(args):
 def cmd_build(args) -> int:
     build, n, set_size = _make_build(args)
     h = build.hypergraph
-    wickets = build_wickets(build)
+    if build.plane_families:
+        wicket_count, degree = plane_wicket_counts(build)
+    else:
+        wickets = build_wickets(build)
+        wicket_count = len(wickets)
+        degree = wicket_dependency_degree(wickets)
     k = colors_needed(set_size)
     report = selection_report(h.vertex_count, h.edge_count, k)
     payload = {
@@ -174,8 +180,8 @@ def cmd_build(args) -> int:
         "set_size": set_size,
         "vertices": h.vertex_count,
         "edges": h.edge_count,
-        "wickets": len(wickets),
-        "max_dependency_degree": wicket_dependency_degree(wickets),
+        "wickets": wicket_count,
+        "max_dependency_degree": degree,
         "k": k,
         "selected_edges": report.edges_selected,
         "exponent": round(report.exponent, 4),
@@ -345,7 +351,7 @@ def _add_build_family_args(sub) -> None:
     mod.set_defaults(family="modular")
 
     eis = sub.add_parser("eisenstein", help="triangular-lattice construction")
-    eis.add_argument("--bound", type=int, required=True)
+    eis.add_argument("--bound", type=_int_at_least(0), required=True)
     eis.add_argument(
         "--norm", choices=("coordinate", "ring"), default="coordinate"
     )

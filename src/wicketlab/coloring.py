@@ -53,9 +53,8 @@ class ColorClassSelection:
 
 
 def _monochromatic(colors: list, witness: WicketWitness) -> bool:
-    ids = witness.edge_ids
-    first = colors[ids[0]]
-    return all(colors[e] == first for e in ids[1:])
+    first = colors[witness.rows[0]]
+    return all(colors[e] == first for e in witness.rows[1:] + witness.columns)
 
 
 def color_edges(
@@ -69,10 +68,13 @@ def color_edges(
 
     Deterministic per (seed, attempts): attempt i uses the child seed
     seed * 1000003 + i. Raises ColoringBudgetError when every attempt
-    exceeds 100 * (wicket count + 1) resamples, and
+    exceeds 100 * (wicket count + 1) resamples,
     IncompleteWicketListError when the chosen class still holds a
-    wicket, which means the `wickets` passed in were not all of them.
+    wicket, which means the `wickets` passed in were not all of them,
+    and ValueError when attempts is below 1.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
     h = build.hypergraph
     if wickets is None:
         wickets = build_wickets(build)
@@ -86,7 +88,7 @@ def color_edges(
     total_resamples = 0
     last_violated = 0
 
-    for attempt in range(max(1, attempts)):
+    for attempt in range(attempts):
         rng = random.Random(seed * SEED_STRIDE + attempt)
         colors = [rng.randrange(k) for _ in range(m)]
         violated = {
@@ -96,12 +98,12 @@ def color_edges(
         }
         used = 0
         while violated and used < budget:
-            target = min(violated)
-            for e in wickets[target].edge_ids:
+            ids = wickets[min(violated)].edge_ids
+            for e in ids:
                 colors[e] = rng.randrange(k)
             used += 1
             affected: set = set()
-            for e in wickets[target].edge_ids:
+            for e in ids:
                 affected.update(edge_to_wickets.get(e, ()))
             for idx in affected:
                 if _monochromatic(colors, wickets[idx]):
@@ -144,7 +146,7 @@ def color_edges(
 
     raise ColoringBudgetError(
         {
-            "attempts": max(1, attempts),
+            "attempts": attempts,
             "resamples": total_resamples,
             "violated": last_violated,
             "budget_per_attempt": budget,

@@ -29,7 +29,9 @@ fails", so eqfree.has_solution decides direction feasibility.
 Over GF(3) the wickets are listed in closed form: the lifted lines of
 two directions s, t span one affine plane per coset of <t - s>, and
 the six edges in such a plane carry six wickets (one per omitted edge).
-The other families list theirs with the generic detector.
+Their number, 3^n * m * (m - 1) for m directions, and their dependency
+degree, 25m - 45, follow by formula (plane_wicket_counts). The other
+families list theirs with the generic detector.
 """
 
 from __future__ import annotations
@@ -154,26 +156,32 @@ def enumerate_plane_wickets(build: Build) -> list:
     direction index * 3^n + encode(a). The plane meets lifted
     coordinate r in L + r*s, so the families of one pair are listed by
     the least encode of their plane, min(3 * encode(x + r*s) + r).
+
+    Points stay encoded throughout: plus[i][e] and plus2[i][e] are the
+    encodes of decode(e) + s and decode(e) + 2s for direction i, so the
+    coset of x is x, x + t + 2s and x + s + 2t.
     """
     directions = build.directions
-    size = len(build.bases)
+    size = len(build.bases)  # all of F_3^n in encode order
+    plus = [[encode(f3_add(a, s)) for a in build.bases] for s in directions]
+    plus2 = [
+        [encode(f3_add(a, f3_scale(2, s))) for a in build.bases]
+        for s in directions
+    ]
     families: list = []
     for i, s in enumerate(directions):
-        shifts = ((0,) * len(s), s, f3_scale(2, s))
+        s1, s2 = plus[i], plus2[i]
         for j in range(i + 1, len(directions)):
+            t1, t2 = plus[j], plus2[j]
             step = f3_sub(directions[j], s)
             lead = next(k for k, x in enumerate(step) if x)
+            place = 3 ** (len(step) - 1 - lead)
             planes = []
-            for x in build.bases:
-                if x[lead]:
+            for x in range(size):
+                if (x // place) % 3:
                     continue  # one coset representative with x[lead] == 0
-                coset = (x, f3_add(x, step), f3_sub(x, step))
-                key = min(
-                    3 * encode(f3_add(y, shift)) + r
-                    for y in coset
-                    for r, shift in enumerate(shifts)
-                )
-                ids = sorted(encode(y) for y in coset)
+                ids = sorted((x, t1[s2[x]], s1[t2[x]]))
+                key = min(min(3 * y, 3 * s1[y] + 1, 3 * s2[y] + 2) for y in ids)
                 planes.append(
                     (
                         key,
@@ -195,13 +203,41 @@ def build_wickets(build) -> list:
     """
     if not build.plane_families:
         return find_wickets(build.hypergraph)
-    wickets = []
-    for edges_a, edges_b in enumerate_plane_wickets(build):
-        for rows, lines in ((edges_b, edges_a), (edges_a, edges_b)):
-            for omitted in lines:
-                columns = tuple(e for e in lines if e != omitted)
-                wickets.append(WicketWitness(rows=rows, columns=columns))
+    wickets: list = []
+    for a, b in enumerate_plane_wickets(build):
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        wickets += (
+            WicketWitness(rows=b, columns=(a1, a2)),
+            WicketWitness(rows=b, columns=(a0, a2)),
+            WicketWitness(rows=b, columns=(a0, a1)),
+            WicketWitness(rows=a, columns=(b1, b2)),
+            WicketWitness(rows=a, columns=(b0, b2)),
+            WicketWitness(rows=a, columns=(b0, b1)),
+        )
     return wickets
+
+
+def plane_wicket_counts(build: Build) -> tuple:
+    """(wicket count, dependency degree) of a GF(3) build, in closed form.
+
+    With m directions over F_3^n there are C(m, 2) * 3^(n-1) plane
+    families of six wickets, 3^n * m * (m - 1) wickets in all.
+    A wicket of the plane of s and t meets the other five of its
+    family and, through each of its five edges, five wickets in each of
+    that edge's m - 2 families with a third direction u. These are all
+    distinct: a plane of s and u holding two of its s-edges needs
+    t - s in <u - s>, so u = t or s + t + u = 0, a line in the cap. So
+    the degree is 5 + 25(m - 2) = 25m - 45 for m >= 2 and 0 otherwise.
+    Equal to len(build_wickets(build)) and
+    wicket_dependency_degree(build_wickets(build)).
+    """
+    if not build.plane_families:
+        raise ValueError("closed-form wicket counts need a GF(3) build")
+    m = len(build.directions)
+    if m < 2:
+        return 0, 0
+    return len(build.bases) * m * (m - 1), 25 * m - 45
 
 
 def wickets_by_edge(wickets: Sequence[WicketWitness]) -> dict:

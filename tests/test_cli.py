@@ -214,6 +214,24 @@ def test_incomplete_wicket_list_maps_to_exit_2(monkeypatch, capsys, cap2):
     assert err.startswith("error: selected color class still contains a wicket")
 
 
+def test_build_f3_counts_without_enumeration(monkeypatch, capsys, tmp_path):
+    # GF(3) builds report the closed-form count and degree, so neither
+    # the wicket list nor the dependency scan may run.
+    def refuse(*args):
+        raise AssertionError("build f3 must not enumerate wickets")
+
+    monkeypatch.setattr(cli, "build_wickets", refuse)
+    monkeypatch.setattr(cli, "wicket_dependency_degree", refuse)
+    path = tmp_path / "cap5.txt"
+    path.write_text("".join(f"{v:05b}\n" for v in range(32)))
+    assert cli.main(["build", "f3", "--cap", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"edges": 7776, "exponent": 1.0436, "k": 8, '
+        '"max_dependency_degree": 755, "n": 5, "selected_edges": 972, '
+        '"set_size": 32, "vertices": 729, "wickets": 241056}\n'
+    )
+
+
 def test_search_ruzsa_exhaustive():
     res = run_cli("search", "ruzsa", "--n", "10", "--mode", "exhaustive")
     assert res.returncode == 0
@@ -266,8 +284,23 @@ def test_search_exhaustive_guard():
             ["color", "modular", "--k", "2", "--set", "/dev/null", "--attempts", "0"],
             "argument --attempts: must be at least 1",
         ),
+        (
+            ["build", "eisenstein", "--bound", "-1", "--auto"],
+            "argument --bound: must be at least 0",
+        ),
+        (
+            ["color", "eisenstein", "--bound", "-1", "--auto"],
+            "argument --bound: must be at least 0",
+        ),
     ],
-    ids=["search-n", "search-bound", "search-budget", "color-attempts"],
+    ids=[
+        "search-n",
+        "search-bound",
+        "search-budget",
+        "color-attempts",
+        "build-eisenstein-bound",
+        "color-eisenstein-bound",
+    ],
 )
 def test_negative_resource_input_exits_1(argv, message, capsys):
     assert cli.main(argv) == 1

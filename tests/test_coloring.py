@@ -70,6 +70,13 @@ def test_color_edges_budget_exhaustion_diagnostics():
     assert "3" in str(info.value)
 
 
+@pytest.mark.parametrize("attempts", [0, -2])
+def test_color_edges_rejects_attempts_below_1(attempts):
+    b = build_f3(binary_cap(2))
+    with pytest.raises(ValueError, match="at least 1"):
+        color_edges(b, seed=0, attempts=attempts)
+
+
 def test_color_edges_attempt_reseeding_is_stable():
     b = build_f3(binary_cap(2))
     wickets = build_wickets(b)

@@ -13,6 +13,7 @@ from wicketlab.construction import (
     build_wickets,
     decode_wicket,
     enumerate_plane_wickets,
+    plane_wicket_counts,
     wicket_dependency_degree,
     wicket_system,
     wicket_witness,
@@ -120,12 +121,19 @@ def test_plane_wickets_match_point_scan_in_order():
 
 def test_gf3_dependency_degree_closed_form():
     # Each wicket meets the other five of its plane family and, through
-    # each of its five edges, 5(m - 2) wickets of other planes.
+    # each of its five edges, 5(m - 2) wickets of other planes; with one
+    # direction or none there is no wicket.
     caps = [c for c in _plane_test_caps() if c.dimension <= 3] + [binary_cap(4)]
+    caps += [verify_cap(3, [(1, 2, 0)]), CapSet(2, frozenset(), verified=True)]
     for cap in caps:
-        if len(cap) >= 2:
-            wickets = build_wickets(build_f3(cap))
-            assert wicket_dependency_degree(wickets) == 25 * len(cap) - 45, cap
+        b = build_f3(cap)
+        wickets = build_wickets(b)
+        degree = wicket_dependency_degree(wickets)
+        m = len(cap)
+        assert degree == (25 * m - 45 if m >= 2 else 0), cap
+        assert plane_wicket_counts(b) == (len(wickets), degree), cap
+    with pytest.raises(ValueError):
+        plane_wicket_counts(build_modular(K3_FREE, 3))
 
 
 def test_local_lemma_slack_below_ceiling():
