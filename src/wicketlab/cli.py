@@ -199,7 +199,13 @@ def cmd_build(args) -> int:
 def cmd_color(args) -> int:
     build, _n, set_size = _make_build(args)
     h = build.hypergraph
-    wickets = build_wickets(build)
+    if build.plane_families:
+        # colored from the plane families; no wicket list is built
+        wickets = None
+        wicket_count = plane_wicket_counts(build)[0]
+    else:
+        wickets = build_wickets(build)
+        wicket_count = len(wickets)
     selection = color_edges(
         build, seed=args.seed, attempts=args.attempts, wickets=wickets
     )
@@ -213,7 +219,7 @@ def cmd_color(args) -> int:
         "selected_edges": len(selection.edge_ids),
         "total_edges": h.edge_count,
         "lower_bound": -(-h.edge_count // k),
-        "wickets": len(wickets),
+        "wickets": wicket_count,
     }
     if args.out:
         write_hypergraph_file(selection.hypergraph, args.out)

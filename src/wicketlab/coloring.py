@@ -6,6 +6,10 @@ repaired by resampling the five edges of the lowest-indexed
 monochromatic wicket; under the usual local-lemma accounting each bad
 event depends on few others, so the repair loop terminates quickly.
 Attempts are capped; each failed attempt reseeds deterministically.
+
+A GF(3) build is colored from its plane families (PlaneWickets), so no
+wicket object is built; a wicket list, passed in or found by the
+detector for the other families, is indexed by wickets_by_edge.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .construction import build_wickets, wickets_by_edge
+from .construction import PlaneWickets, build_wickets, wickets_by_edge
 from .errors import ColoringBudgetError, IncompleteWicketListError
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
@@ -52,9 +56,12 @@ class ColorClassSelection:
     hypergraph: TripartiteHypergraph
 
 
-def _monochromatic(colors: list, witness: WicketWitness) -> bool:
-    first = colors[witness.rows[0]]
-    return all(colors[e] == first for e in witness.rows[1:] + witness.columns)
+def _monochromatic(colors: list, edge_ids: tuple) -> bool:
+    first = colors[edge_ids[0]]
+    for e in edge_ids:
+        if colors[e] != first:
+            return False
+    return True
 
 
 def color_edges(
@@ -66,6 +73,10 @@ def color_edges(
     """Color the build's edges so no wicket is monochromatic, then
     return the largest color class (re-checked wicket-free).
 
+    Without `wickets`, a GF(3) build's wickets are read from its plane
+    families and any other build's come from build_wickets; both give
+    the same coloring as passing build_wickets(build).
+
     Deterministic per (seed, attempts): attempt i uses the child seed
     seed * 1000003 + i. Raises ColoringBudgetError when every attempt
     exceeds 100 * (wicket count + 1) resamples,
@@ -76,13 +87,20 @@ def color_edges(
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
     h = build.hypergraph
-    if wickets is None:
-        wickets = build_wickets(build)
-    wickets = list(wickets)
+    if wickets is None and build.plane_families:
+        wickets = PlaneWickets(build)
+        containing = wickets.containing
+    else:
+        if wickets is None:
+            wickets = build_wickets(build)
+        by_edge = wickets_by_edge(wickets)
+        wickets = [witness.edge_ids for witness in wickets]
+
+        def containing(edge: int):
+            return by_edge.get(edge, ())
+
     m = h.edge_count
     k = colors_needed(len(build.directions))
-
-    edge_to_wickets = wickets_by_edge(wickets)
 
     budget = RESAMPLE_FACTOR * (len(wickets) + 1)
     total_resamples = 0
@@ -93,18 +111,18 @@ def color_edges(
         colors = [rng.randrange(k) for _ in range(m)]
         violated = {
             idx
-            for idx, witness in enumerate(wickets)
-            if _monochromatic(colors, witness)
+            for idx, ids in enumerate(wickets)
+            if _monochromatic(colors, ids)
         }
         used = 0
         while violated and used < budget:
-            ids = wickets[min(violated)].edge_ids
+            ids = wickets[min(violated)]
             for e in ids:
                 colors[e] = rng.randrange(k)
             used += 1
             affected: set = set()
             for e in ids:
-                affected.update(edge_to_wickets.get(e, ()))
+                affected.update(containing(e))
             for idx in affected:
                 if _monochromatic(colors, wickets[idx]):
                     violated.add(idx)

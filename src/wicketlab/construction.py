@@ -218,6 +218,52 @@ def build_wickets(build) -> list:
     return wickets
 
 
+class PlaneWickets:
+    """The wickets of a GF(3) build, read from its plane families.
+
+    Item 6f + r is the edge ids of family f = (a, b) without edge r of
+    a + b, ascending: the wicket build_wickets(build)[6f + r], with no
+    witness object built. containing(e) lists the wickets of edge e.
+    """
+
+    def __init__(self, build: Build):
+        # array is an extension module; importing it here keeps it out
+        # of the commands that never color a GF(3) build
+        from array import array
+
+        self._families = enumerate_plane_wickets(build)
+        size = len(build.bases)
+        # Every edge lies in one family per other direction. Its slot
+        # 6f + r in the family with the q-th other direction is stored
+        # at e * stride + q; those families come in ascending f.
+        self._stride = stride = max(len(build.directions) - 1, 0)
+        self._slots = slots = array("l", [0]) * (len(build.provenance) * stride)
+        for f, (a, b) in enumerate(self._families):
+            i, j = a[0] // size, b[0] // size  # direction indices, i < j
+            for slot, e in enumerate(a, 6 * f):
+                slots[e * stride + j - 1] = slot
+            for slot, e in enumerate(b, 6 * f + 3):
+                slots[e * stride + i] = slot
+
+    def __len__(self) -> int:
+        return 6 * len(self._families)
+
+    def __getitem__(self, idx: int) -> tuple:
+        f, r = divmod(idx, 6)
+        a, b = self._families[f]
+        edges = a + b  # a's direction comes first, so this is ascending
+        return edges[:r] + edges[r + 1 :]
+
+    def containing(self, edge: int):
+        """Ascending indices of the wickets holding the edge: the five
+        of each of its families that do not drop it."""
+        start = edge * self._stride
+        for slot in self._slots[start : start + self._stride]:
+            first = slot - slot % 6
+            yield from range(first, slot)
+            yield from range(slot + 1, first + 6)
+
+
 def plane_wicket_counts(build: Build) -> tuple:
     """(wicket count, dependency degree) of a GF(3) build, in closed form.
 

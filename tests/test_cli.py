@@ -203,11 +203,15 @@ def test_color_budget_exhaustion_maps_to_exit_3(monkeypatch, capsys):
     assert payload["attempts"] == 2
 
 
-def test_incomplete_wicket_list_maps_to_exit_2(monkeypatch, capsys, cap2):
-    # With no wickets to repair, the chosen class of seed 2 keeps one,
-    # which the final re-check reports.
+def test_incomplete_wicket_list_maps_to_exit_2(monkeypatch, capsys, tmp_path):
+    # With no wickets to repair, the chosen class of seed 4 keeps one of
+    # the 14 wickets of {0, 3, 6} mod 7, which the final re-check reports.
+    path = tmp_path / "s036.txt"
+    path.write_text("0\n3\n6\n")
     monkeypatch.setattr(cli, "build_wickets", lambda build: [])
-    code = cli.main(["color", "f3", "--cap", cap2, "--seed", "2"])
+    code = cli.main(
+        ["color", "modular", "--k", "3", "--set", str(path), "--seed", "4"]
+    )
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -230,6 +234,28 @@ def test_build_f3_counts_without_enumeration(monkeypatch, capsys, tmp_path):
         '"max_dependency_degree": 755, "n": 5, "selected_edges": 972, '
         '"set_size": 32, "vertices": 729, "wickets": 241056}\n'
     )
+
+
+def test_color_f3_lists_no_wickets(monkeypatch, capsys, tmp_path):
+    # GF(3) builds are colored from their plane families, so the wicket
+    # list must not be built; the lines are those of the listed wickets.
+    def refuse(*args):
+        raise AssertionError("color f3 must not list wickets")
+
+    monkeypatch.setattr(cli, "build_wickets", refuse)
+    expected = {
+        4: '{"attempt": 0, "color": 3, "k": 7, "lower_bound": 186, '
+        '"resamples": 10, "seed": 0, "selected_edges": 205, '
+        '"total_edges": 1296, "wickets": 19440}\n',
+        5: '{"attempt": 0, "color": 6, "k": 8, "lower_bound": 972, '
+        '"resamples": 62, "seed": 0, "selected_edges": 998, '
+        '"total_edges": 7776, "wickets": 241056}\n',
+    }
+    for n, line in expected.items():
+        path = tmp_path / f"cap{n}.txt"
+        path.write_text("".join(f"{v:0{n}b}\n" for v in range(2**n)))
+        assert cli.main(["color", "f3", "--cap", str(path), "--seed", "0"]) == 0
+        assert capsys.readouterr().out == line
 
 
 def test_search_ruzsa_exhaustive():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -90,3 +91,16 @@ def test_color_edges_rejects_incomplete_wicket_list():
     # an empty list leaves seed 2's chosen class with a wicket
     with pytest.raises(IncompleteWicketListError):
         color_edges(build_f3(binary_cap(2)), seed=2, wickets=[])
+
+
+def test_color_f3_memory_stays_small():
+    # {0,1}^4 has 19440 wickets; colored from its 3240 plane families it
+    # peaks near 1.4 MiB, where one witness object per wicket took 5.3.
+    b = build_f3(binary_cap(4))
+    tracemalloc.start()
+    try:
+        color_edges(b, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from wicketlab.coloring import colors_needed
+from wicketlab.coloring import color_edges, colors_needed
 from wicketlab.construction import (
+    PlaneWickets,
     build_eisenstein,
     build_f3,
     build_modular,
@@ -17,6 +18,7 @@ from wicketlab.construction import (
     wicket_dependency_degree,
     wicket_system,
     wicket_witness,
+    wickets_by_edge,
 )
 from wicketlab.eisenstein import EisensteinPoint, OMEGA, ROT60, ZERO, region_points
 from wicketlab.eqfree import has_solution
@@ -117,6 +119,33 @@ def test_plane_wickets_match_point_scan_in_order():
         assert wickets == plane_wickets_point_scan(b), cap
         m, n = len(cap), cap.dimension
         assert len(wickets) == 6 * math.comb(m, 2) * 3 ** (n - 1)
+
+
+def test_plane_wickets_match_wicket_list():
+    # The family-backed sequence is the wicket list without the objects:
+    # same length, edge ids per index and edge -> wicket index, so the
+    # coloring is the one the listed wickets give.
+    caps = _plane_test_caps()
+    caps += [verify_cap(3, [(1, 2, 0)]), CapSet(2, frozenset(), verified=True)]
+    for cap in caps:
+        b = build_f3(cap)
+        wickets = build_wickets(b)
+        plane = PlaneWickets(b)
+        assert len(plane) == len(wickets), cap
+        assert [plane[i] for i in range(len(plane))] == [
+            w.edge_ids for w in wickets
+        ], cap
+        by_edge = {}
+        for e in range(b.hypergraph.edge_count):
+            ids = list(plane.containing(e))
+            if ids:
+                by_edge[e] = ids
+        assert by_edge == wickets_by_edge(wickets), cap
+        for seed in range(5):
+            one = color_edges(b, seed=seed)
+            two = color_edges(b, seed=seed, wickets=wickets)
+            assert one.coloring == two.coloring, (cap, seed)
+            assert (one.color, one.edge_ids) == (two.color, two.edge_ids)
 
 
 def test_gf3_dependency_degree_closed_form():
