@@ -494,13 +494,14 @@ def main(argv: Optional[list] = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # console_main quiets a closed stdout
     except (
         CapFileError,
         HypergraphFileError,
         SetFileError,
         DomainTooLargeError,
-        FileNotFoundError,
-        IsADirectoryError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

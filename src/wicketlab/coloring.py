@@ -7,9 +7,10 @@ monochromatic wicket; under the usual local-lemma accounting each bad
 event depends on few others, so the repair loop terminates quickly.
 Attempts are capped; each failed attempt reseeds deterministically.
 
-A GF(3) build is colored from its plane families (PlaneWickets), so no
-wicket object is built; a wicket list, passed in or found by the
-detector for the other families, is indexed by wickets_by_edge.
+A GF(3) build is colored from its plane families, kept as one flat
+array of edge ids (PlaneWickets), so no wicket object is built; a wicket
+list, passed in or found by the detector for the other families, is
+indexed by wickets_by_edge.
 """
 
 from __future__ import annotations

@@ -29,9 +29,10 @@ fails", so eqfree.has_solution decides direction feasibility.
 Over GF(3) the wickets are listed in closed form: the lifted lines of
 two directions s, t span one affine plane per coset of <t - s>, and
 the six edges in such a plane carry six wickets (one per omitted edge).
-Their number, 3^n * m * (m - 1) for m directions, and their dependency
-degree, 25m - 45, follow by formula (plane_wicket_counts). The other
-families list theirs with the generic detector.
+PlaneWickets keeps each such family as six edge ids in one flat array.
+The wicket count, 3^n * m * (m - 1) for m directions, and the
+dependency degree, 25m - 45, follow by formula (plane_wicket_counts).
+The other families list their wickets with the generic detector.
 """
 
 from __future__ import annotations
@@ -147,8 +148,16 @@ def build_eisenstein(
     return _build(elems, region, vertices, -1, OMEGA)
 
 
-def enumerate_plane_wickets(build: Build) -> list:
-    """The (edges_a, edges_b) id triples of every GF(3) plane family.
+def build_wickets(build) -> list:
+    """Every wicket of a build: from its plane families for GF(3),
+    from the detector otherwise."""
+    if build.plane_families:
+        return PlaneWickets(build).witnesses()
+    return find_wickets(build.hypergraph)
+
+
+class PlaneWickets:
+    """The wickets of a GF(3) build, read from its plane families.
 
     For directions s before t, the lifted lines (s, 1) and (t, 1) span
     one affine plane per coset L of <t - s> in F_3^n; its construction
@@ -157,102 +166,63 @@ def enumerate_plane_wickets(build: Build) -> list:
     coordinate r in L + r*s, so the families of one pair are listed by
     the least encode of their plane, min(3 * encode(x + r*s) + r).
 
-    Points stay encoded throughout: plus[i][e] and plus2[i][e] are the
-    encodes of decode(e) + s and decode(e) + 2s for direction i, so the
-    coset of x is x, x + t + 2s and x + s + 2t.
-    """
-    directions = build.directions
-    size = len(build.bases)  # all of F_3^n in encode order
-    plus = [[encode(f3_add(a, s)) for a in build.bases] for s in directions]
-    plus2 = [
-        [encode(f3_add(a, f3_scale(2, s))) for a in build.bases]
-        for s in directions
-    ]
-    families: list = []
-    for i, s in enumerate(directions):
-        s1, s2 = plus[i], plus2[i]
-        for j in range(i + 1, len(directions)):
-            t1, t2 = plus[j], plus2[j]
-            step = f3_sub(directions[j], s)
-            lead = next(k for k, x in enumerate(step) if x)
-            place = 3 ** (len(step) - 1 - lead)
-            planes = []
-            for x in range(size):
-                if (x // place) % 3:
-                    continue  # one coset representative with x[lead] == 0
-                ids = sorted((x, t1[s2[x]], s1[t2[x]]))
-                key = min(min(3 * y, 3 * s1[y] + 1, 3 * s2[y] + 2) for y in ids)
-                planes.append(
-                    (
-                        key,
-                        tuple(i * size + e for e in ids),
-                        tuple(j * size + e for e in ids),
-                    )
-                )
-            planes.sort()
-            families.extend(plane[1:] for plane in planes)
-    return families
-
-
-def build_wickets(build) -> list:
-    """Every wicket of a build: structured for GF(3), detector otherwise.
-
-    Each GF(3) plane family gives six wickets: dropping one edge leaves
-    its two partners as the columns and the other direction's three
-    edges as the rows, first for each edge of edges_a, then of edges_b.
-    """
-    if not build.plane_families:
-        return find_wickets(build.hypergraph)
-    wickets: list = []
-    for a, b in enumerate_plane_wickets(build):
-        a0, a1, a2 = a
-        b0, b1, b2 = b
-        wickets += (
-            WicketWitness(rows=b, columns=(a1, a2)),
-            WicketWitness(rows=b, columns=(a0, a2)),
-            WicketWitness(rows=b, columns=(a0, a1)),
-            WicketWitness(rows=a, columns=(b1, b2)),
-            WicketWitness(rows=a, columns=(b0, b2)),
-            WicketWitness(rows=a, columns=(b0, b1)),
-        )
-    return wickets
-
-
-class PlaneWickets:
-    """The wickets of a GF(3) build, read from its plane families.
-
-    Item 6f + r is the edge ids of family f = (a, b) without edge r of
-    a + b, ascending: the wicket build_wickets(build)[6f + r], with no
-    witness object built. containing(e) lists the wickets of edge e.
+    Family f is edges[6f : 6f + 6] of one flat array: its s-edges, then
+    its t-edges, each ascending. Item 6f + r is the family without the
+    edge at 6f + r, so items are ascending edge-id arrays, and
+    containing(e) lists the wickets of edge e.
     """
 
     def __init__(self, build: Build):
         # array is an extension module; importing it here keeps it out
-        # of the commands that never color a GF(3) build
+        # of the commands that never list a GF(3) build's wickets
         from array import array
 
-        self._families = enumerate_plane_wickets(build)
-        size = len(build.bases)
+        directions = build.directions
+        size = len(build.bases)  # all of F_3^n in encode order
+        # Points stay encoded: plus[i][e] and plus2[i][e] are the encodes
+        # of decode(e) + s and decode(e) + 2s for direction i, so the
+        # coset of x is x, x + t + 2s and x + s + 2t.
+        plus = [[encode(f3_add(a, s)) for a in build.bases] for s in directions]
+        plus2 = [
+            [encode(f3_add(a, f3_scale(2, s))) for a in build.bases]
+            for s in directions
+        ]
         # Every edge lies in one family per other direction. Its slot
         # 6f + r in the family with the q-th other direction is stored
         # at e * stride + q; those families come in ascending f.
-        self._stride = stride = max(len(build.directions) - 1, 0)
+        self._stride = stride = max(len(directions) - 1, 0)
         self._slots = slots = array("l", [0]) * (len(build.provenance) * stride)
-        for f, (a, b) in enumerate(self._families):
-            i, j = a[0] // size, b[0] // size  # direction indices, i < j
-            for slot, e in enumerate(a, 6 * f):
-                slots[e * stride + j - 1] = slot
-            for slot, e in enumerate(b, 6 * f + 3):
-                slots[e * stride + i] = slot
+        self._edges = edges = array("l")
+        for i, s in enumerate(directions):
+            s1, s2 = plus[i], plus2[i]
+            for j in range(i + 1, len(directions)):
+                t1, t2 = plus[j], plus2[j]
+                step = f3_sub(directions[j], s)
+                lead = next(k for k, x in enumerate(step) if x)
+                place = 3 ** (len(step) - 1 - lead)
+                planes = []
+                for x in range(size):
+                    if (x // place) % 3:
+                        continue  # one coset representative with x[lead] == 0
+                    ids = sorted((x, t1[s2[x]], s1[t2[x]]))
+                    key = min(min(3 * y, 3 * s1[y] + 1, 3 * s2[y] + 2) for y in ids)
+                    planes.append((key, ids))
+                planes.sort()
+                for _, ids in planes:
+                    for first, q in ((i * size, j - 1), (j * size, i)):
+                        for e in ids:
+                            slots[(first + e) * stride + q] = len(edges)
+                            edges.append(first + e)
 
     def __len__(self) -> int:
-        return 6 * len(self._families)
+        return len(self._edges)
 
-    def __getitem__(self, idx: int) -> tuple:
-        f, r = divmod(idx, 6)
-        a, b = self._families[f]
-        edges = a + b  # a's direction comes first, so this is ascending
-        return edges[:r] + edges[r + 1 :]
+    def __getitem__(self, idx: int):
+        # past the end the slice is empty and del raises IndexError
+        first = idx - idx % 6
+        wicket = self._edges[first : first + 6]
+        del wicket[idx - first]
+        return wicket
 
     def containing(self, edge: int):
         """Ascending indices of the wickets holding the edge: the five
@@ -262,6 +232,21 @@ class PlaneWickets:
             first = slot - slot % 6
             yield from range(first, slot)
             yield from range(slot + 1, first + 6)
+
+    def witnesses(self) -> list:
+        """Every item as a WicketWitness: the dropped edge's two partners
+        are the columns, the other direction's three edges the rows."""
+        edges = self._edges
+        out: list = []
+        for f in range(0, len(edges), 6):
+            a, b = tuple(edges[f : f + 3]), tuple(edges[f + 3 : f + 6])
+            for rows, (x, y, z) in ((b, a), (a, b)):
+                out += (
+                    WicketWitness(rows=rows, columns=(y, z)),
+                    WicketWitness(rows=rows, columns=(x, z)),
+                    WicketWitness(rows=rows, columns=(x, y)),
+                )
+        return out
 
 
 def plane_wicket_counts(build: Build) -> tuple:

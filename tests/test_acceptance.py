@@ -17,12 +17,12 @@ from itertools import combinations
 from wicketlab.census import grid_system, minimal_free_example, run_census
 from wicketlab.coloring import color_edges, colors_needed
 from wicketlab.construction import (
+    PlaneWickets,
     build_eisenstein,
     build_f3,
     build_modular,
     build_wickets,
     decode_wicket,
-    enumerate_plane_wickets,
     wicket_dependency_degree,
     wicket_system,
     wicket_witness,
@@ -119,8 +119,7 @@ def test_criterion_4_construction_invariants():
         ok = ok and h.is_linear
         ok = ok and find_63(h) == []
         ok = ok and h.edge_count == 3 ** n * size
-        fams = enumerate_plane_wickets(b)
-        ok = ok and len(fams) == families
+        ok = ok and len(PlaneWickets(b)) == 6 * families
         plane = build_wickets(b)
         ok = ok and len(plane) == wickets
         brute = {w.edge_set for w in find_wickets(h)}

@@ -336,6 +336,25 @@ def test_negative_resource_input_exits_1(argv, message, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cap", "verify", "{file}/x"],
+        ["build", "f3", "--cap", "{file}", "--out", "{file}/x"],
+        ["census", "--csv", "{file}/x"],
+    ],
+    ids=["cap-verify", "build-out", "census-csv"],
+)
+def test_path_through_a_file_exits_1(argv, cap2, capsys):
+    # A path below a regular file fails with NotADirectoryError, an
+    # OSError that is neither FileNotFoundError nor IsADirectoryError.
+    assert cli.main([arg.format(file=cap2) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert "Traceback" not in err
+
+
 def test_census_cli(tmp_path):
     csv = tmp_path / "rows.csv"
     res = run_cli("census", "--minimality", "--csv", str(csv))

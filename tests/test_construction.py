@@ -13,7 +13,6 @@ from wicketlab.construction import (
     build_modular,
     build_wickets,
     decode_wicket,
-    enumerate_plane_wickets,
     plane_wicket_counts,
     wicket_dependency_degree,
     wicket_system,
@@ -63,7 +62,7 @@ def test_build_f3_shape_n1():
     assert find_63(h) == []
     wickets = build_wickets(b)
     assert len(wickets) == 6
-    assert len(enumerate_plane_wickets(b)) == 1
+    assert len(PlaneWickets(b)) == 6  # one plane family
     assert wicket_dependency_degree(wickets) == 5
 
 
@@ -72,9 +71,9 @@ def test_build_f3_shape_n2():
     h = b.hypergraph
     assert h.edge_count == 36 and h.vertex_count == 27
     assert h.is_linear and find_63(h) == []
-    families = enumerate_plane_wickets(b)
-    assert len(families) == 18
-    assert all(len(a) == len(b) == 3 for a, b in families)
+    plane = PlaneWickets(b)
+    assert len(plane) == 6 * 18  # 18 plane families
+    assert all(len(w) == 5 for w in plane)
     wickets = build_wickets(b)
     assert len(wickets) == 108
     assert wicket_dependency_degree(wickets) == 55
@@ -106,6 +105,8 @@ def _plane_test_caps():
         verify_cap(1, [(1,), (2,)]),  # t = 2s: the plane is all of F_3^2
         verify_cap(2, [(1, 1), (2, 2)]),
         verify_cap(3, [(0, 0, 0), (0, 1, 2), (1, 1, 1), (2, 0, 1)]),
+        verify_cap(3, [(1, 2, 0)]),  # one direction: no wicket
+        CapSet(2, frozenset(), verified=True),
     ]
     rng = random.Random(5)
     caps += [_random_cap(rng, n) for n in range(1, 5) for _ in range(20)]
@@ -122,28 +123,29 @@ def test_plane_wickets_match_point_scan_in_order():
 
 
 def test_plane_wickets_match_wicket_list():
-    # The family-backed sequence is the wicket list without the objects:
-    # same length, edge ids per index and edge -> wicket index, so the
-    # coloring is the one the listed wickets give.
-    caps = _plane_test_caps()
-    caps += [verify_cap(3, [(1, 2, 0)]), CapSet(2, frozenset(), verified=True)]
-    for cap in caps:
+    # The flat family storage against the independent point scan (the
+    # witnesses are compared through build_wickets above): edge ids per
+    # index and edge -> wicket indices, so the coloring is the one the
+    # listed wickets give.
+    for cap in _plane_test_caps():
         b = build_f3(cap)
-        wickets = build_wickets(b)
+        scan = plane_wickets_point_scan(b)
         plane = PlaneWickets(b)
-        assert len(plane) == len(wickets), cap
-        assert [plane[i] for i in range(len(plane))] == [
-            w.edge_ids for w in wickets
-        ], cap
+        assert len(plane) == len(scan), cap
+        # iteration stops at the IndexError one past the end
+        items = [tuple(w) for w in plane]
+        assert items == [w.edge_ids for w in scan], cap
+        with pytest.raises(IndexError):
+            plane[len(plane)]
         by_edge = {}
         for e in range(b.hypergraph.edge_count):
             ids = list(plane.containing(e))
             if ids:
                 by_edge[e] = ids
-        assert by_edge == wickets_by_edge(wickets), cap
+        assert by_edge == wickets_by_edge(scan), cap
         for seed in range(5):
             one = color_edges(b, seed=seed)
-            two = color_edges(b, seed=seed, wickets=wickets)
+            two = color_edges(b, seed=seed, wickets=scan)
             assert one.coloring == two.coloring, (cap, seed)
             assert (one.color, one.edge_ids) == (two.color, two.edge_ids)
 
@@ -153,7 +155,6 @@ def test_gf3_dependency_degree_closed_form():
     # each of its five edges, 5(m - 2) wickets of other planes; with one
     # direction or none there is no wicket.
     caps = [c for c in _plane_test_caps() if c.dimension <= 3] + [binary_cap(4)]
-    caps += [verify_cap(3, [(1, 2, 0)]), CapSet(2, frozenset(), verified=True)]
     for cap in caps:
         b = build_f3(cap)
         wickets = build_wickets(b)
@@ -175,7 +176,7 @@ def test_local_lemma_slack_below_ceiling():
 
 def test_single_direction_has_no_wickets():
     b = build_f3(verify_single := CapSet(1, frozenset({(0,)}), verified=True))
-    assert enumerate_plane_wickets(b) == []
+    assert len(PlaneWickets(b)) == 0
     assert find_wickets(b.hypergraph) == []
 
 
