@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage or input-parse errors and a stdout
-closed before all output was written, 2 verification failures (a
-progression found in a claimed cap, a census counterexample, a color
-class still holding a wicket because the wicket list was incomplete),
-3 exhausted resample budgets. All outputs are deterministic for fixed
-inputs and seeds; JSON objects are printed with sorted keys.
+Exit codes: 0 success, 1 usage or input-parse errors, a path that
+cannot be read or written, and a stdout closed before all output was
+written, 2 verification failures (a progression found in a claimed cap,
+a census counterexample, a color class still holding a wicket because
+the wicket list was incomplete), 3 exhausted resample budgets. The
+output files of `build`, `color` and `census` are opened before any
+work starts. All outputs are deterministic for fixed inputs and seeds;
+JSON objects are printed with sorted keys.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from typing import Optional
 
 from .bounds import (
@@ -57,7 +60,6 @@ from .errors import (
     CapVerificationError,
     ColoringBudgetError,
     DomainTooLargeError,
-    HypergraphFileError,
     SetFileError,
     WicketlabError,
 )
@@ -69,7 +71,7 @@ from .gf3 import (
     vec_to_string,
     write_cap_file,
 )
-from .hypergraph import write_hypergraph_file
+from .hypergraph import write_hypergraph_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,6 +99,12 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _open_outputs(stack: ExitStack, *paths) -> list:
+    """Open each given output path for writing (None stays None), so a
+    path that cannot be written fails before any work starts."""
+    return [stack.enter_context(open(p, "w")) if p else None for p in paths]
 
 
 def _emit(payload: dict) -> None:
@@ -165,64 +173,67 @@ def _make_build(args):
 
 
 def cmd_build(args) -> int:
-    build, n, set_size = _make_build(args)
-    h = build.hypergraph
-    if build.plane_families:
-        wicket_count, degree = plane_wicket_counts(build)
-    else:
-        wickets = build_wickets(build)
-        wicket_count = len(wickets)
-        degree = wicket_dependency_degree(wickets)
-    k = colors_needed(set_size)
-    report = selection_report(h.vertex_count, h.edge_count, k)
-    payload = {
-        "n": n,
-        "set_size": set_size,
-        "vertices": h.vertex_count,
-        "edges": h.edge_count,
-        "wickets": wicket_count,
-        "max_dependency_degree": degree,
-        "k": k,
-        "selected_edges": report.edges_selected,
-        "exponent": round(report.exponent, 4),
-    }
-    if args.out:
-        write_hypergraph_file(h, args.out)
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+    with ExitStack() as stack:
+        out, report_file = _open_outputs(stack, args.out, args.report)
+        build, n, set_size = _make_build(args)
+        h = build.hypergraph
+        if build.plane_families:
+            wicket_count, degree = plane_wicket_counts(build)
+        else:
+            wickets = build_wickets(build)
+            wicket_count = len(wickets)
+            degree = wicket_dependency_degree(wickets)
+        k = colors_needed(set_size)
+        report = selection_report(h.vertex_count, h.edge_count, k)
+        payload = {
+            "n": n,
+            "set_size": set_size,
+            "vertices": h.vertex_count,
+            "edges": h.edge_count,
+            "wickets": wicket_count,
+            "max_dependency_degree": degree,
+            "k": k,
+            "selected_edges": report.edges_selected,
+            "exponent": round(report.exponent, 4),
+        }
+        if out:
+            out.write(write_hypergraph_text(h))
+        if report_file:
+            json.dump(payload, report_file, sort_keys=True)
+            report_file.write("\n")
     _emit(payload)
     return 0
 
 
 def cmd_color(args) -> int:
-    build, _n, set_size = _make_build(args)
-    h = build.hypergraph
-    if build.plane_families:
-        # colored from the plane families; no wicket list is built
-        wickets = None
-        wicket_count = plane_wicket_counts(build)[0]
-    else:
-        wickets = build_wickets(build)
-        wicket_count = len(wickets)
-    selection = color_edges(
-        build, seed=args.seed, attempts=args.attempts, wickets=wickets
-    )
-    k = selection.coloring.color_count
-    payload = {
-        "k": k,
-        "seed": args.seed,
-        "attempt": selection.coloring.attempt,
-        "resamples": selection.coloring.resamples,
-        "color": selection.color,
-        "selected_edges": len(selection.edge_ids),
-        "total_edges": h.edge_count,
-        "lower_bound": -(-h.edge_count // k),
-        "wickets": wicket_count,
-    }
-    if args.out:
-        write_hypergraph_file(selection.hypergraph, args.out)
+    with ExitStack() as stack:
+        (out,) = _open_outputs(stack, args.out)
+        build, _n, set_size = _make_build(args)
+        h = build.hypergraph
+        if build.plane_families:
+            # colored from the plane families; no wicket list is built
+            wickets = None
+            wicket_count = plane_wicket_counts(build)[0]
+        else:
+            wickets = build_wickets(build)
+            wicket_count = len(wickets)
+        selection = color_edges(
+            build, seed=args.seed, attempts=args.attempts, wickets=wickets
+        )
+        k = selection.coloring.color_count
+        payload = {
+            "k": k,
+            "seed": args.seed,
+            "attempt": selection.coloring.attempt,
+            "resamples": selection.coloring.resamples,
+            "color": selection.color,
+            "selected_edges": len(selection.edge_ids),
+            "total_edges": h.edge_count,
+            "lower_bound": -(-h.edge_count // k),
+            "wickets": wicket_count,
+        }
+        if out:
+            out.write(write_hypergraph_text(selection.hypergraph))
     _emit(payload)
     return 0
 
@@ -279,41 +290,27 @@ def cmd_search(args) -> int:
 
 
 def cmd_census(args) -> int:
-    jobs, source = args.jobs, "--jobs"
-    if jobs is None:
-        source = "WICKETLAB_JOBS"
-        raw = os.environ.get(source, "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            print(
-                f"error: {source} must be an integer, got {raw!r}",
-                file=sys.stderr,
-            )
-            return 1
-    if jobs < 1:
-        print(f"error: {source} must be at least 1", file=sys.stderr)
-        return 1
-    report = run_census(use_detectors=args.detectors)
-    payload = {
-        "total_candidates": report.total_candidates,
-        "linear": report.linear,
-        "wicket": report.wicket,
-        "six_three": report.six_three,
-        "both": report.both,
-        "full_coverage": report.full_coverage,
-        "counterexamples": [list(ids) for ids in report.counterexamples],
-        "verified": report.verified,
-    }
-    if args.minimality:
-        witness = minimal_free_example()
-        payload["minimality_witness"] = list(witness) if witness else None
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("e1,e2,e3,e4,e5,wicket,six_three\n")
+    with ExitStack() as stack:
+        (csv,) = _open_outputs(stack, args.csv)
+        report = run_census(use_detectors=args.detectors)
+        payload = {
+            "total_candidates": report.total_candidates,
+            "linear": report.linear,
+            "wicket": report.wicket,
+            "six_three": report.six_three,
+            "both": report.both,
+            "full_coverage": report.full_coverage,
+            "counterexamples": [list(ids) for ids in report.counterexamples],
+            "verified": report.verified,
+        }
+        if args.minimality:
+            witness = minimal_free_example()
+            payload["minimality_witness"] = list(witness) if witness else None
+        if csv:
+            csv.write("e1,e2,e3,e4,e5,wicket,six_three\n")
             for ids, has_w, has_63 in iter_classified(args.detectors):
                 row = ",".join(str(i) for i in ids)
-                fh.write(f"{row},{int(has_w)},{int(has_63)}\n")
+                csv.write(f"{row},{int(has_w)},{int(has_63)}\n")
     _emit(payload)
     return 0 if report.verified else 2
 
@@ -446,12 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     census.add_argument(
         "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "accepted for compatibility and validated (default: "
-            "WICKETLAB_JOBS or 1); the census runs in one process"
-        ),
+        type=_int_at_least(1),
+        default=1,
+        help="accepted for compatibility; the census runs in one process",
     )
     census.add_argument(
         "--detectors",
@@ -498,7 +492,6 @@ def main(argv: Optional[list] = None) -> int:
         raise  # console_main quiets a closed stdout
     except (
         CapFileError,
-        HypergraphFileError,
         SetFileError,
         DomainTooLargeError,
         OSError,

@@ -49,7 +49,7 @@ from .eqfree import (
     iter_nontrivial_solutions,
 )
 from .errors import WicketDecodeError
-from .gf3 import CapSet, all_vectors, encode, f3_add, f3_scale, f3_sub
+from .gf3 import CapSet, all_vectors, f3_add, f3_scale, f3_sub
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
 
@@ -181,12 +181,15 @@ class PlaneWickets:
         size = len(build.bases)  # all of F_3^n in encode order
         # Points stay encoded: plus[i][e] and plus2[i][e] are the encodes
         # of decode(e) + s and decode(e) + 2s for direction i, so the
-        # coset of x is x, x + t + 2s and x + s + 2t.
-        plus = [[encode(f3_add(a, s)) for a in build.bases] for s in directions]
-        plus2 = [
-            [encode(f3_add(a, f3_scale(2, s))) for a in build.bases]
-            for s in directions
-        ]
+        # coset of x is x, x + t + 2s and x + s + 2t. build_f3 indexes
+        # vertices and bases in encode order, so edge i * 3^n + e is
+        # (e, plus[i][e], plus2[i][e]).
+        lines = build.hypergraph.edges
+        plus, plus2 = [], []
+        for i in range(len(directions)):
+            _, s1, s2 = zip(*lines[i * size : (i + 1) * size])
+            plus.append(s1)
+            plus2.append(s2)
         # Every edge lies in one family per other direction. Its slot
         # 6f + r in the family with the q-th other direction is stored
         # at e * stride + q; those families come in ascending f.

@@ -413,16 +413,18 @@ def max_triangle_free(
     norm: str = "coordinate",
     seed: int = 0,
     budget: int = 2000,
-    exhaustive_limit: int = TRIANGLE_EXHAUSTIVE_LIMIT,
 ) -> SearchResult:
     """Largest equilateral-free subset of a lattice disc.
 
-    Exact for regions up to `exhaustive_limit` points, heuristic above.
+    Exact for regions up to TRIANGLE_EXHAUSTIVE_LIMIT points, heuristic
+    above.
     """
     region = region_points(bound, norm=norm)
     spec = equilateral_equation()
-    if len(region) <= exhaustive_limit:
-        return max_free_exhaustive(region, spec, max_domain=exhaustive_limit)
+    if len(region) <= TRIANGLE_EXHAUSTIVE_LIMIT:
+        return max_free_exhaustive(
+            region, spec, max_domain=TRIANGLE_EXHAUSTIVE_LIMIT
+        )
     return max_free_heuristic(region, spec, seed=seed, budget=budget)
 
 

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: parse errors exit 1, verification
-failures (including a coloring whose wicket list proves incomplete)
-exit 2, exhausted budgets exit 3.
+The CLI maps these onto exit codes: cap and set files that cannot be
+parsed and domains beyond a size guard exit 1, verification failures
+(including a coloring whose wicket list proves incomplete) exit 2,
+exhausted budgets exit 3.
 """
 
 from __future__ import annotations
@@ -38,20 +39,8 @@ class CapVerificationError(WicketlabError):
         super().__init__(f"{message}: {witness}")
 
 
-class HypergraphFileError(_ParseError):
-    """A hypergraph file could not be parsed."""
-
-
 class SetFileError(_ParseError):
     """A set file (integers or lattice pairs) could not be parsed."""
-
-
-class NonLinearError(WicketlabError, ValueError):
-    """An operation that requires a linear hypergraph got a non-linear one."""
-
-    def __init__(self, pair):
-        self.pair = pair
-        super().__init__(f"edges {pair[0]} and {pair[1]} share two or more vertices")
 
 
 class DomainTooLargeError(WicketlabError, ValueError):

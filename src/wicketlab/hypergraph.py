@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Iterator, Optional, Sequence
-
-from .errors import HypergraphFileError, NonLinearError
+from typing import Optional
 
 Edge = tuple[int, int, int]
-Vertex = tuple[int, int]  # (class index, index within class)
 
 
 @dataclass(frozen=True)
@@ -80,11 +76,6 @@ class TripartiteHypergraph:
     def is_linear(self) -> bool:
         return self.linearity_violation() is None
 
-    def require_linear(self) -> None:
-        pair = self.linearity_violation()
-        if pair is not None:
-            raise NonLinearError(pair)
-
     def degrees(self) -> tuple:
         """Edge count per vertex, one list per class."""
         per_class = [[0] * s for s in self.class_sizes]
@@ -119,26 +110,9 @@ class WicketWitness:
 
 @dataclass(frozen=True)
 class SixThreeWitness:
-    """Edge indices of one (6,3) triangle plus its three shared vertices."""
+    """Edge indices of one (6,3) triangle."""
 
     edges: tuple[int, int, int]
-    shared: tuple[Vertex, Vertex, Vertex]
-
-    @property
-    def edge_ids(self) -> tuple:
-        return tuple(sorted(self.edges))
-
-    @property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
-
-def witness_json(witness) -> dict:
-    if isinstance(witness, WicketWitness):
-        return {"type": "wicket", "edges": list(witness.edge_ids)}
-    if isinstance(witness, SixThreeWitness):
-        return {"type": "63", "edges": list(witness.edge_ids)}
-    raise TypeError(f"not a witness: {witness!r}")
 
 
 def _ids(bits: int) -> list:
@@ -265,21 +239,10 @@ def find_63(
                     continue
                 if y == x or z == x:
                     continue
-                shared = tuple(_vertex(h, bit) for bit in (x, y, z))
-                found.append(SixThreeWitness(edges=(i, j, k), shared=shared))
+                found.append(SixThreeWitness(edges=(i, j, k)))
                 if limit is not None and len(found) >= limit:
                     return found
     return found
-
-
-def _vertex(h: TripartiteHypergraph, bit: int) -> Vertex:
-    """The (class, index) vertex of a one-bit vertex mask."""
-    index = bit.bit_length() - 1
-    cls = 0
-    while index >= h.class_sizes[cls]:
-        index -= h.class_sizes[cls]
-        cls += 1
-    return (cls, index)
 
 
 def validate_wicket(h: TripartiteHypergraph, witness: WicketWitness) -> bool:
@@ -326,63 +289,9 @@ def validate_63(h: TripartiteHypergraph, witness: SixThreeWitness) -> bool:
 
 
 def write_hypergraph_text(h: TripartiteHypergraph) -> str:
+    """The `--out` format: "p tlh |A| |B| |C| m", then one line of
+    0-based class indices per edge."""
     a, b, c = h.class_sizes
     lines = [f"p tlh {a} {b} {c} {len(h.edges)}"]
     lines.extend(f"{ea} {eb} {ec}" for (ea, eb, ec) in h.edges)
     return "\n".join(lines) + "\n"
-
-
-def write_hypergraph_file(h: TripartiteHypergraph, path) -> None:
-    Path(path).write_text(write_hypergraph_text(h))
-
-
-def parse_hypergraph_text(text: str) -> TripartiteHypergraph:
-    """Parse "p tlh |A| |B| |C| m" plus m lines of 0-based edge triples."""
-    header: Optional[tuple] = None
-    edges: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 6 or tokens[0] != "p" or tokens[1] != "tlh":
-                raise HypergraphFileError(
-                    f"expected header 'p tlh |A| |B| |C| m', got {line!r}", lineno
-                )
-            try:
-                sizes = tuple(int(t) for t in tokens[2:5])
-                declared = int(tokens[5])
-            except ValueError:
-                raise HypergraphFileError(
-                    f"non-integer field in header {line!r}", lineno
-                ) from None
-            if any(s < 0 for s in sizes) or declared < 0:
-                raise HypergraphFileError("negative count in header", lineno)
-            header = (sizes, declared)
-            continue
-        if len(tokens) != 3:
-            raise HypergraphFileError(
-                f"expected 3 indices, got {len(tokens)}", lineno
-            )
-        try:
-            edge = tuple(int(t) for t in tokens)
-        except ValueError:
-            raise HypergraphFileError(
-                f"non-integer index in {line!r}", lineno
-            ) from None
-        sizes = header[0]
-        for cls in range(3):
-            if not 0 <= edge[cls] < sizes[cls]:
-                raise HypergraphFileError(
-                    f"index {edge[cls]} out of range for class {cls}", lineno
-                )
-        edges.append(edge)
-    if header is None:
-        raise HypergraphFileError("missing header line")
-    sizes, declared = header
-    if len(edges) != declared:
-        raise HypergraphFileError(
-            f"header declares {declared} edges, file has {len(edges)}"
-        )
-    return TripartiteHypergraph(class_sizes=sizes, edges=tuple(edges))

@@ -318,6 +318,11 @@ def test_search_exhaustive_guard():
             ["color", "eisenstein", "--bound", "-1", "--auto"],
             "argument --bound: must be at least 0",
         ),
+        (["census", "--jobs", "0"], "argument --jobs: must be at least 1"),
+        (
+            ["census", "--jobs", "abc"],
+            "argument --jobs: invalid int value: 'abc'",
+        ),
     ],
     ids=[
         "search-n",
@@ -326,6 +331,8 @@ def test_search_exhaustive_guard():
         "color-attempts",
         "build-eisenstein-bound",
         "color-eisenstein-bound",
+        "census-jobs-0",
+        "census-jobs-abc",
     ],
 )
 def test_negative_resource_input_exits_1(argv, message, capsys):
@@ -341,18 +348,33 @@ def test_negative_resource_input_exits_1(argv, message, capsys):
     [
         ["cap", "verify", "{file}/x"],
         ["build", "f3", "--cap", "{file}", "--out", "{file}/x"],
-        ["census", "--csv", "{file}/x"],
+        ["census", "--detectors", "--minimality", "--csv", "{file}/x"],
+        [
+            "build", "f3", "--cap", "{file}",
+            "--out", "{dir}/good.txt", "--report", "{file}/x",
+        ],
+        ["color", "f3", "--cap", "{file}", "--out", "{file}/x"],
     ],
-    ids=["cap-verify", "build-out", "census-csv"],
+    ids=["cap-verify", "build-out", "census-csv", "build-report", "color-out"],
 )
-def test_path_through_a_file_exits_1(argv, cap2, capsys):
+def test_path_through_a_file_exits_1(argv, cap2, tmp_path, monkeypatch, capsys):
     # A path below a regular file fails with NotADirectoryError, an
     # OSError that is neither FileNotFoundError nor IsADirectoryError.
-    assert cli.main([arg.format(file=cap2) for arg in argv]) == 1
+    # Output paths are opened before any work starts, so the work fails
+    # the test if it is reached.
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the outputs were opened")
+
+    for name in ("build_f3", "run_census", "minimal_free_example"):
+        monkeypatch.setattr(cli, name, work)
+    argv = [arg.format(file=cap2, dir=tmp_path) for arg in argv]
+    assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "Not a directory" in err
     assert "Traceback" not in err
+    written = [p for p in tmp_path.iterdir() if str(p) != cap2]
+    assert all(p.read_text() == "" for p in written)
 
 
 def test_census_cli(tmp_path):
@@ -367,33 +389,6 @@ def test_census_cli(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "e1,e2,e3,e4,e5,wicket,six_three"
     assert len(lines) == 1 + data["linear"]
-
-
-def test_census_env_jobs():
-    # The parent environment is passed through so that the child finds
-    # `wicketlab` the same way this process did (installed or PYTHONPATH).
-    def run_with_jobs(value):
-        return subprocess.run(
-            [sys.executable, "-m", "wicketlab.cli", "census"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "WICKETLAB_JOBS": value},
-            timeout=300,
-        )
-
-    res = run_with_jobs("2")
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["wicket"] == 216
-
-    # The census output is the same for any job count, so only a rejected
-    # value shows that the variable is read. These fail before the census
-    # runs.
-    for bad in ("0", "abc"):
-        res = run_with_jobs(bad)
-        assert res.returncode == 1
-        assert res.stdout == ""
-        assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: WICKETLAB_JOBS ")
 
 
 def test_closed_stdout_exits_quietly():

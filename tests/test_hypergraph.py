@@ -4,17 +4,14 @@ import pytest
 
 from wicketlab.construction import build_eisenstein, build_modular
 from wicketlab.eisenstein import region_points
-from wicketlab.errors import HypergraphFileError, NonLinearError
 from wicketlab.hypergraph import (
     SixThreeWitness,
     TripartiteHypergraph,
     WicketWitness,
     find_63,
     find_wickets,
-    parse_hypergraph_text,
     validate_63,
     validate_wicket,
-    witness_json,
     write_hypergraph_text,
 )
 from oracles import (
@@ -60,8 +57,6 @@ def test_linearity():
     assert not bad.is_linear
     pair = bad.linearity_violation()
     assert pair == (0, 1)
-    with pytest.raises(NonLinearError):
-        bad.require_linear()
 
 
 def test_degrees_and_profile():
@@ -146,38 +141,13 @@ def test_find_wickets_matches_column_scan_in_order():
     assert total > 0
 
 
-def test_witness_json_shapes():
-    wicket = find_wickets(GRID_WICKET)[0]
-    assert witness_json(wicket) == {"type": "wicket", "edges": [0, 1, 2, 3, 4]}
-    sixthree = find_63(TRIANGLE)[0]
-    assert witness_json(sixthree) == {"type": "63", "edges": [0, 1, 2]}
-
-
 def test_validate_rejects_wrong_shapes():
     assert not validate_wicket(GRID_WICKET, WicketWitness((0, 1, 3), (2, 4)))
-    assert not validate_63(TRIANGLE, SixThreeWitness((0, 1, 1), ()))
+    assert not validate_63(TRIANGLE, SixThreeWitness((0, 1, 1)))
 
 
 def test_write_parse_roundtrip():
-    text = write_hypergraph_text(GRID_WICKET)
-    assert text.splitlines()[0] == "p tlh 3 3 3 5"
-    again = parse_hypergraph_text(text)
-    assert again == GRID_WICKET
-
-
-def test_parse_reports_line_numbers():
-    with pytest.raises(HypergraphFileError) as info:
-        parse_hypergraph_text("p tlh 3 3 3 2\n0 0 0\n0 0\n")
-    assert "line 3" in str(info.value)
-    with pytest.raises(HypergraphFileError) as info:
-        parse_hypergraph_text("p tlh 3 3 3 1\n0 0 9\n")
-    assert "line 2" in str(info.value)
-    with pytest.raises(HypergraphFileError):
-        parse_hypergraph_text("p tlh 3 3 3 2\n0 0 0\n")
-    with pytest.raises(HypergraphFileError):
-        parse_hypergraph_text("0 0 0\n")
-
-
-def test_parse_skips_comments():
-    h = parse_hypergraph_text("# generated\np tlh 2 2 2 1\n# edge block\n0 1 1\n")
-    assert h.edges == ((0, 1, 1),)
+    # The `--out` format is written and never read, so its text is pinned.
+    assert write_hypergraph_text(GRID_WICKET) == (
+        "p tlh 3 3 3 5\n0 0 0\n1 1 1\n2 2 2\n0 1 2\n1 2 0\n"
+    )
