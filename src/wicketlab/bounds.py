@@ -17,8 +17,8 @@ CAP_BOUND_BASELINE = 2.756
 def asymptotic_exponent(base: float) -> float:
     """1 + (3/4) log_3(base): the edge exponent granted by direction
     sets growing like base^n."""
-    if base <= 1:
-        raise ValueError("base must exceed 1")
+    if not 1 < base < math.inf:  # also refuses nan
+        raise ValueError("base must be finite and exceed 1")
     return 1.0 + 0.75 * math.log(base) / math.log(3.0)
 
 

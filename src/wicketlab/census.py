@@ -25,8 +25,6 @@ GRID_EDGES = tuple(
     (a, b, c) for a in range(3) for b in range(3) for c in range(3)
 )
 
-WICKET_DEGREE_PROFILE = (2, 2, 2, 2, 2, 2, 1, 1, 1)
-
 
 def _share_tables():
     share = [[0] * 27 for _ in range(27)]
@@ -152,12 +150,6 @@ class CensusReport:
     def verified(self) -> bool:
         return not self.counterexamples
 
-    def consistent(self) -> bool:
-        neither = len(self.counterexamples)
-        return (
-            self.wicket + self.six_three - self.both + neither == self.linear
-        )
-
 
 def run_census(use_detectors: bool = False) -> CensusReport:
     """Classify every linear 5-edge system."""
@@ -212,49 +204,3 @@ def minimal_free_example() -> Optional[tuple]:
         if not system_has_63(ids):
             return ids
     return None
-
-
-@dataclass(frozen=True)
-class DegreeAudit:
-    systems: int  # full-coverage linear 5-edge systems
-    profiles: tuple  # ((degree profile, count), ...) sorted descending by count
-    degree3_without_63: int  # expected 0
-    wicket_profile_mismatches: int  # expected 0
-
-
-def degree_audit() -> DegreeAudit:
-    """Degree statistics over full-coverage linear systems.
-
-    Checks the two structural facts the census relies on: a vertex of
-    degree 3 or more forces a (6,3) within nine vertices, and any
-    system containing a wicket is exactly a wicket, with degree profile
-    (2,2,2,2,2,2,1,1,1).
-    """
-    systems = 0
-    profiles: dict = {}
-    degree3_bad = 0
-    wicket_bad = 0
-    for ids in iter_linear_five_sets():
-        if not system_covers_grid(ids):
-            continue
-        systems += 1
-        degrees: dict = {}
-        for i in ids:
-            a, b, c = GRID_EDGES[i]
-            for vertex in ((0, a), (1, b), (2, c)):
-                degrees[vertex] = degrees.get(vertex, 0) + 1
-        profile = tuple(sorted(degrees.values(), reverse=True))
-        profiles[profile] = profiles.get(profile, 0) + 1
-        if profile[0] >= 3 and not system_has_63(ids):
-            degree3_bad += 1
-        if system_has_wicket(ids) and profile != WICKET_DEGREE_PROFILE:
-            wicket_bad += 1
-    ordered = tuple(
-        sorted(profiles.items(), key=lambda item: (-item[1], item[0]))
-    )
-    return DegreeAudit(
-        systems=systems,
-        profiles=ordered,
-        degree3_without_63=degree3_bad,
-        wicket_profile_mismatches=wicket_bad,
-    )

@@ -48,7 +48,6 @@ from .eqfree import (
     _is_zero,
     iter_nontrivial_solutions,
 )
-from .errors import WicketDecodeError
 from .gf3 import CapSet, all_vectors, f3_add, f3_scale, f3_sub
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
@@ -58,14 +57,13 @@ class Build:
     """Edges (a, a + mu*s, a + nu*s) for every direction s and base a.
 
     Edge ids run over the directions in order and, within one
-    direction, over the bases in order; provenance maps an edge id to
-    its (base, direction) pair.
+    direction, over the bases in order: edge i * len(bases) + j is
+    (bases[j], directions[i]).
     """
 
     directions: tuple
     bases: tuple
     hypergraph: TripartiteHypergraph
-    provenance: tuple  # edge id -> (base, direction)
     plane_families: bool  # GF(3): wickets come in affine planes
 
 
@@ -87,18 +85,15 @@ def _build(
     index = {p: i for i, p in enumerate(vertices)}
     size = len(index)
     edges: list = []
-    prov: list = []
     for s in directions:
         ms, ns = mul(mu, s), mul(nu, s)
         for a in bases:
             edges.append((index[a], index[add(a, ms)], index[add(a, ns)]))
-            prov.append((a, s))
     h = TripartiteHypergraph(class_sizes=(size, size, size), edges=tuple(edges))
     return Build(
         directions=tuple(directions),
         bases=tuple(bases),
         hypergraph=h,
-        provenance=tuple(prov),
         plane_families=plane_families,
     )
 
@@ -194,7 +189,7 @@ class PlaneWickets:
         # 6f + r in the family with the q-th other direction is stored
         # at e * stride + q; those families come in ascending f.
         self._stride = stride = max(len(directions) - 1, 0)
-        self._slots = slots = array("l", [0]) * (len(build.provenance) * stride)
+        self._slots = slots = array("l", [0]) * (len(lines) * stride)
         self._edges = edges = array("l")
         for i, s in enumerate(directions):
             s1, s2 = plus[i], plus2[i]
@@ -293,54 +288,6 @@ def wicket_dependency_degree(wickets: Sequence[WicketWitness]) -> int:
             for w in wickets
         ),
         default=0,
-    )
-
-
-def decode_wicket(build, witness: WicketWitness) -> dict:
-    """Recover the construction labeling of a detected wicket.
-
-    Returns bases x, y, z and directions s, t, u, v, w with columns
-    (x, s), (y, u) and rows (x, w), (y, t), (z, v). Both column orders
-    are tried; the share pattern is re-verified on raw vertex indices.
-    """
-    edges = build.hypergraph.edges
-    prov = build.provenance
-    ordered = (
-        (witness.columns[0], witness.columns[1]),
-        (witness.columns[1], witness.columns[0]),
-    )
-    for c1, c2 in ordered:
-        x, s = prov[c1]
-        y, u = prov[c2]
-        r1 = r2 = None
-        for r in witness.rows:
-            base = prov[r][0]
-            if base == x:
-                r1 = r
-            elif base == y:
-                r2 = r
-        if r1 is None or r2 is None:
-            continue
-        rest = [r for r in witness.rows if r != r1 and r != r2]
-        if len(rest) != 1:
-            continue
-        r3 = rest[0]
-        z, v = prov[r3]
-        w = prov[r1][1]
-        t = prov[r2][1]
-        ec1, ec2 = edges[c1], edges[c2]
-        er1, er2, er3 = edges[r1], edges[r2], edges[r3]
-        if (
-            er1[0] == ec1[0]
-            and er2[1] == ec1[1]
-            and er3[2] == ec1[2]
-            and er2[0] == ec2[0]
-            and er3[1] == ec2[1]
-            and er1[2] == ec2[2]
-        ):
-            return {"x": x, "y": y, "z": z, "s": s, "t": t, "u": u, "v": v, "w": w}
-    raise WicketDecodeError(
-        f"wicket {witness} does not match the construction labeling"
     )
 
 

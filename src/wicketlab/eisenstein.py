@@ -1,13 +1,12 @@
 """Exact arithmetic in the Eisenstein integers Z[w], w = (-1+i*sqrt(3))/2.
 
 A point (a, b) stands for a + w*b. The identities used throughout:
-w^2 = -1 - w, 1 + w = e^{i*pi/3} (rotation by 60 degrees), and
+w^2 = -1 - w, 1 + w = e^{i*pi/3} (the rotation by pi/3), and
 -w = e^{-i*pi/3}. These points form the triangular lattice.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -52,8 +51,7 @@ class EisensteinPoint:
 ZERO = EisensteinPoint(0, 0)
 ONE = EisensteinPoint(1, 0)
 OMEGA = EisensteinPoint(0, 1)
-OMEGA2 = EisensteinPoint(-1, -1)  # w^2 = -1 - w
-ROT60 = EisensteinPoint(1, 1)  # 1 + w rotates by +60 degrees
+ROT60 = EisensteinPoint(1, 1)  # 1 + w rotates by +pi/3
 
 
 def ring_norm(p: EisensteinPoint) -> int:
@@ -70,30 +68,6 @@ NORM_FUNCTIONS: dict = {
     "coordinate": coordinate_norm,
     "ring": ring_norm,
 }
-
-
-def is_equilateral(p: EisensteinPoint, q: EisensteinPoint, r: EisensteinPoint) -> bool:
-    """Whether three distinct lattice points form an equilateral triangle.
-
-    Tries t - w = omega * (w - v) over all labelings of the triple and
-    both orientations (omega and omega squared). Rotating one side by
-    120 degrees onto the next characterizes equilateral triangles.
-    """
-    if p == q or p == r or q == r:
-        raise ValueError("equilateral test needs three distinct points")
-    for t, v, w in itertools.permutations((p, q, r)):
-        side = w - v
-        if t - w == OMEGA * side or t - w == OMEGA2 * side:
-            return True
-    return False
-
-
-def equilateral_completions(p: EisensteinPoint, q: EisensteinPoint) -> tuple:
-    """The two lattice points completing segment pq to an equilateral triangle."""
-    if p == q:
-        raise ValueError("segment endpoints must be distinct")
-    d = q - p
-    return tuple(sorted((p + ROT60 * d, p + (-OMEGA) * d)))
 
 
 def region_points(bound: int, norm: str = "coordinate") -> tuple:

@@ -65,15 +65,6 @@ class EquationSpec:
         first = next(values)
         return all(v == first for v in values)
 
-    def satisfied_by_constant(self, sample) -> bool:
-        """Whether the constant assignment (all variables = sample) solves
-        every relation; sound specs always say yes."""
-        assignment = {var: sample for var in self.variables}
-        return all(
-            _is_zero(_relation_value(r, assignment), self.modulus)
-            for r in self.relations
-        )
-
 
 def _relation_value(relation, assignment):
     total = None

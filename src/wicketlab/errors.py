@@ -63,7 +63,3 @@ class ColoringBudgetError(WicketlabError):
 class IncompleteWicketListError(WicketlabError):
     """A color class left wicket-free by the given wicket list still
     contains a wicket, so that list was incomplete."""
-
-
-class WicketDecodeError(WicketlabError):
-    """A wicket witness could not be matched to the build's labeling."""

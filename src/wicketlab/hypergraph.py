@@ -1,4 +1,4 @@
-"""Tripartite 3-uniform hypergraphs, linearity, and pattern detectors.
+"""Tripartite 3-uniform hypergraphs and their pattern detectors.
 
 Vertices live in three index classes A, B, C. An edge is a triple
 (a, b, c) of indices, one per class. The two patterns detected here:
@@ -58,39 +58,6 @@ class TripartiteHypergraph:
             1 << x | 1 << (b + y) | 1 << (c + z) for x, y, z in self.edges
         )
 
-    def linearity_violation(self) -> Optional[tuple]:
-        """First pair of edge indices sharing two or more vertices, or None.
-
-        Two tripartite edges share >= 2 vertices exactly when they agree
-        on >= 2 coordinates, so duplicate pair-projections are enough.
-        """
-        seen: dict = {}
-        for idx, (a, b, c) in enumerate(self.edges):
-            for key in ((0, a, b), (1, a, c), (2, b, c)):
-                if key in seen:
-                    return (seen[key], idx)
-                seen[key] = idx
-        return None
-
-    @cached_property
-    def is_linear(self) -> bool:
-        return self.linearity_violation() is None
-
-    def degrees(self) -> tuple:
-        """Edge count per vertex, one list per class."""
-        per_class = [[0] * s for s in self.class_sizes]
-        for a, b, c in self.edges:
-            per_class[0][a] += 1
-            per_class[1][b] += 1
-            per_class[2][c] += 1
-        return tuple(per_class)
-
-    def degree_profile(self) -> tuple:
-        """Per-class degree multisets, each sorted descending."""
-        return tuple(
-            tuple(sorted(degrees, reverse=True)) for degrees in self.degrees()
-        )
-
 
 @dataclass(frozen=True)
 class WicketWitness:
@@ -102,10 +69,6 @@ class WicketWitness:
     @property
     def edge_ids(self) -> tuple:
         return tuple(sorted(self.rows + self.columns))
-
-    @property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.rows + self.columns)
 
 
 @dataclass(frozen=True)
@@ -243,49 +206,6 @@ def find_63(
                 if limit is not None and len(found) >= limit:
                     return found
     return found
-
-
-def validate_wicket(h: TripartiteHypergraph, witness: WicketWitness) -> bool:
-    """Check the full wicket definition against the hypergraph."""
-    ids = witness.rows + witness.columns
-    if len(set(ids)) != 5:
-        return False
-    if any(not 0 <= e < len(h.edges) for e in ids):
-        return False
-    masks = h.edge_masks
-    rows = [masks[e] for e in witness.rows]
-    cols = [masks[e] for e in witness.columns]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if rows[a] & rows[b]:
-                return False
-    if cols[0] & cols[1]:
-        return False
-    for r in rows:
-        for c in cols:
-            if (r & c).bit_count() != 1:
-                return False
-    union = rows[0] | rows[1] | rows[2] | cols[0] | cols[1]
-    return union.bit_count() == 9
-
-
-def validate_63(h: TripartiteHypergraph, witness: SixThreeWitness) -> bool:
-    ids = witness.edges
-    if len(set(ids)) != 3:
-        return False
-    if any(not 0 <= e < len(h.edges) for e in ids):
-        return False
-    masks = [h.edge_masks[e] for e in ids]
-    if (masks[0] | masks[1] | masks[2]).bit_count() != 6:
-        return False
-    shared = set()
-    for a in range(3):
-        for b in range(a + 1, 3):
-            common = masks[a] & masks[b]
-            if common.bit_count() != 1:
-                return False
-            shared.add(common)
-    return len(shared) == 3
 
 
 def write_hypergraph_text(h: TripartiteHypergraph) -> str:

@@ -144,6 +144,19 @@ def max_cap_first_dfs(n: int) -> tuple:
 
 # ------------------------------------------------------------ detectors
 
+def is_linear(h: TripartiteHypergraph) -> bool:
+    """Whether no two edges share two vertices. Two tripartite edges
+    share two vertices exactly when they agree on a pair projection, so
+    every projection must be new."""
+    seen = set()
+    for a, b, c in h.edges:
+        for key in ((0, a, b), (1, a, c), (2, b, c)):
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+
 def edge_vertices(h: TripartiteHypergraph, i: int):
     a, b, c = h.edges[i]
     return frozenset(((0, a), (1, b), (2, c)))
@@ -226,6 +239,50 @@ def wickets_column_scan(h: TripartiteHypergraph, limit=None):
     return found
 
 
+def provenance(build) -> tuple:
+    """Edge id -> (base, direction): the edges run over the directions
+    and, within one direction, over the bases."""
+    return tuple((a, s) for s in build.directions for a in build.bases)
+
+
+def decode_wicket(build, witness: WicketWitness):
+    """The construction labeling of a wicket, or None if it has none.
+
+    Returns bases x, y, z and directions s, t, u, v, w with columns
+    (x, s), (y, u) and rows (x, w), (y, t), (z, v). Both column orders
+    are tried; the share pattern is checked on raw vertex indices.
+    """
+    edges = build.hypergraph.edges
+    prov = provenance(build)
+    for c1, c2 in (witness.columns, witness.columns[::-1]):
+        x, s = prov[c1]
+        y, u = prov[c2]
+        r1 = r2 = None
+        for r in witness.rows:
+            if prov[r][0] == x:
+                r1 = r
+            elif prov[r][0] == y:
+                r2 = r
+        rest = [r for r in witness.rows if r != r1 and r != r2]
+        if r1 is None or r2 is None or len(rest) != 1:
+            continue
+        r3 = rest[0]
+        z, v = prov[r3]
+        w, t = prov[r1][1], prov[r2][1]
+        ec1, ec2 = edges[c1], edges[c2]
+        er1, er2, er3 = edges[r1], edges[r2], edges[r3]
+        if (
+            er1[0] == ec1[0]
+            and er2[1] == ec1[1]
+            and er3[2] == ec1[2]
+            and er2[0] == ec2[0]
+            and er3[1] == ec2[1]
+            and er1[2] == ec2[2]
+        ):
+            return {"x": x, "y": y, "z": z, "s": s, "t": t, "u": u, "v": v, "w": w}
+    return None
+
+
 def plane_wickets_point_scan(build):
     """Every wicket of a GF(3) build, in the library's list order.
 
@@ -257,7 +314,7 @@ def plane_wickets_point_scan(build):
             value //= 3
         return tuple(reversed(digits))
 
-    edge_of = {pair: idx for idx, pair in enumerate(build.provenance)}
+    edge_of = {pair: idx for idx, pair in enumerate(provenance(build))}
     directions = build.directions
     if len(directions) < 2:
         return []
@@ -462,6 +519,19 @@ def max_free_first_by_has_solution(domain, spec) -> tuple:
 
     extend([], items)
     return tuple(best)
+
+
+def constant_solves(spec, sample) -> bool:
+    """Whether setting every variable to `sample` solves each relation."""
+    for relation in spec.relations:
+        terms = [coeff * sample for _var, coeff in relation]
+        total = sum(terms[1:], terms[0])
+        if spec.modulus is not None:
+            if total % spec.modulus:
+                return False
+        elif total != total - total:
+            return False
+    return True
 
 
 def modular_solution_raw(S, k: int) -> bool:

@@ -22,7 +22,6 @@ from wicketlab.construction import (
     build_f3,
     build_modular,
     build_wickets,
-    decode_wicket,
     wicket_dependency_degree,
     wicket_system,
     wicket_witness,
@@ -32,6 +31,8 @@ from wicketlab.eqfree import has_solution, max_free_exhaustive, modular_equation
 from wicketlab.gf3 import binary_cap, max_cap_exact, product_cap
 from wicketlab.hypergraph import find_63, find_wickets
 from oracles import (
+    decode_wicket,
+    is_linear,
     max_cap_bruteforce,
     max_cap_unpruned_symmetry,
     modular_solution_raw,
@@ -102,7 +103,7 @@ def test_criterion_3_five_edge_census():
     ok = ok and witness is not None and len(witness) == 4
     if witness is not None:
         h = grid_system(witness)
-        ok = ok and h.is_linear
+        ok = ok and is_linear(h)
         ok = ok and find_wickets(h) == [] and find_63(h) == []
     _report(3, "census", ok, time.monotonic() - t0, 60.0)
 
@@ -116,16 +117,17 @@ def test_criterion_4_construction_invariants():
         ok = ok and len(cap) == size
         b = build_f3(cap)
         h = b.hypergraph
-        ok = ok and h.is_linear
+        ok = ok and is_linear(h)
         ok = ok and find_63(h) == []
         ok = ok and h.edge_count == 3 ** n * size
         ok = ok and len(PlaneWickets(b)) == 6 * families
         plane = build_wickets(b)
         ok = ok and len(plane) == wickets
-        brute = {w.edge_set for w in find_wickets(h)}
-        ok = ok and {w.edge_set for w in plane} == brute
+        brute = {frozenset(w.edge_ids) for w in find_wickets(h)}
+        ok = ok and {frozenset(w.edge_ids) for w in plane} == brute
         for wit in plane:
             d = decode_wicket(b, wit)
+            ok = ok and d is not None
             ok = ok and d["t"] == d["v"] == d["w"] and d["s"] == d["u"]
         ok = ok and wicket_dependency_degree(plane) <= 30 * size
     _report(4, "construction invariants", ok, time.monotonic() - t0, 60.0)
@@ -224,23 +226,23 @@ def test_criterion_8_detector_properties():
     for _ in range(70):
         h = random_linear_hypergraph(rng, sizes=(4, 4, 4), edges=rng.randrange(5, 13))
         instances += 1
-        ok = ok and {w.edge_set for w in find_wickets(h)} == wickets_bruteforce(h)
+        ok = ok and {frozenset(w.edge_ids) for w in find_wickets(h)} == wickets_bruteforce(h)
         ok = ok and {frozenset(w.edges) for w in find_63(h)} == six_threes_bruteforce(h)
     for _ in range(40):
         h = random_hypergraph(rng, sizes=(5, 5, 5), edges=rng.randrange(8, 21))
         instances += 1
         ok = ok and {frozenset(w.edges) for w in find_63(h)} == six_threes_bruteforce(h)
         if h.edge_count <= 12:
-            ok = ok and {w.edge_set for w in find_wickets(h)} == wickets_bruteforce(h)
+            ok = ok and {frozenset(w.edge_ids) for w in find_wickets(h)} == wickets_bruteforce(h)
     ok = ok and instances >= 100
 
     for _ in range(20):
         h = random_linear_hypergraph(rng, sizes=(4, 4, 4), edges=10)
         shuffled, edge_map = relabeled(h, rng)
         before_w = {
-            frozenset(edge_map[i] for i in w.edge_set) for w in find_wickets(h)
+            frozenset(edge_map[i] for i in w.edge_ids) for w in find_wickets(h)
         }
-        after_w = {w.edge_set for w in find_wickets(shuffled)}
+        after_w = {frozenset(w.edge_ids) for w in find_wickets(shuffled)}
         ok = ok and before_w == after_w
         before_t = {
             frozenset(edge_map[i] for i in w.edges) for w in find_63(h)

@@ -25,6 +25,10 @@ def test_asymptotic_exponent_domain():
         asymptotic_exponent(1.0)
     with pytest.raises(ValueError):
         asymptotic_exponent(0.5)
+    with pytest.raises(ValueError):
+        asymptotic_exponent(math.nan)
+    with pytest.raises(ValueError):
+        asymptotic_exponent(math.inf)
 
 
 def test_concrete_exponent():

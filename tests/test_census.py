@@ -1,9 +1,8 @@
+from collections import Counter
 from itertools import combinations
 
 from wicketlab.census import (
     GRID_EDGES,
-    WICKET_DEGREE_PROFILE,
-    degree_audit,
     detector_classify,
     grid_system,
     iter_classified,
@@ -15,10 +14,12 @@ from wicketlab.census import (
     system_has_wicket,
 )
 from wicketlab.hypergraph import find_63, find_wickets
+from oracles import is_linear
 
 # row and column edges of one 3x3 grid wicket, as grid edge ids 9a+3b+c
 WICKET_IDS = (0, 5, 13, 15, 26)
 GRID_SIX = (0, 5, 13, 15, 19, 26)
+WICKET_DEGREE_PROFILE = (2, 2, 2, 2, 2, 2, 1, 1, 1)
 
 FROZEN = {
     "total_candidates": 80730,
@@ -28,6 +29,11 @@ FROZEN = {
     "both": 0,
     "full_coverage": 2862,
 }
+
+
+def _degrees(ids):
+    """Edge count per (class, index) vertex of a grid system."""
+    return Counter(v for i in ids for v in enumerate(GRID_EDGES[i]))
 
 
 def test_grid_edges_table():
@@ -42,11 +48,10 @@ def test_known_wicket_ids():
     h = grid_system(WICKET_IDS)
     assert len(find_wickets(h)) == 1
     assert find_63(h) == []
-    assert h.degree_profile() == ((2, 2, 1),) * 3
-    flat = tuple(
-        sorted((d for cls in h.degree_profile() for d in cls), reverse=True)
-    )
-    assert flat == WICKET_DEGREE_PROFILE
+    degrees = _degrees(WICKET_IDS)
+    for cls in range(3):
+        assert sorted(degrees[(cls, x)] for x in range(3)) == [1, 2, 2]
+    assert tuple(sorted(degrees.values(), reverse=True)) == WICKET_DEGREE_PROFILE
 
 
 def test_grid_six_contains_six_wickets():
@@ -60,7 +65,8 @@ def test_run_census_matches_frozen_counts():
         assert getattr(rep, key) == value, key
     assert rep.counterexamples == ()
     assert rep.verified
-    assert rep.consistent()
+    neither = len(rep.counterexamples)
+    assert rep.wicket + rep.six_three - rep.both + neither == rep.linear
 
 
 def test_detector_route_agrees():
@@ -74,7 +80,7 @@ def test_linear_five_sets_complete():
     for ids in iter_linear_five_sets():
         assert ids not in seen
         seen.add(ids)
-        assert grid_system(ids).is_linear
+        assert is_linear(grid_system(ids))
     assert len(seen) == FROZEN["linear"]
 
 
@@ -106,18 +112,32 @@ def test_minimal_free_example_is_valid():
     ids = minimal_free_example()
     assert ids is not None and len(ids) == 4
     h = grid_system(ids)
-    assert h.is_linear
+    assert is_linear(h)
     assert find_63(h) == []
     assert find_wickets(h) == []
     assert not system_has_63(ids)
 
 
 def test_degree_audit():
-    audit = degree_audit()
-    assert audit.systems == FROZEN["full_coverage"]
-    assert audit.degree3_without_63 == 0
-    assert audit.wicket_profile_mismatches == 0
-    profiles = dict(audit.profiles)
+    """The two structural facts the census relies on, over the
+    full-coverage linear systems: a vertex of degree 3 or more forces a
+    (6,3) within nine vertices, and a system holding a wicket is exactly
+    a wicket, with degree profile (2,2,2,2,2,2,1,1,1)."""
+    systems = degree3_without_63 = wicket_profile_mismatches = 0
+    profiles = Counter()
+    for ids in iter_linear_five_sets():
+        if not system_covers_grid(ids):
+            continue
+        systems += 1
+        profile = tuple(sorted(_degrees(ids).values(), reverse=True))
+        profiles[profile] += 1
+        if profile[0] >= 3 and not system_has_63(ids):
+            degree3_without_63 += 1
+        if system_has_wicket(ids) and profile != WICKET_DEGREE_PROFILE:
+            wicket_profile_mismatches += 1
+    assert systems == FROZEN["full_coverage"]
+    assert degree3_without_63 == 0
+    assert wicket_profile_mismatches == 0
     assert profiles[WICKET_DEGREE_PROFILE] == 1566
 
 

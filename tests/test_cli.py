@@ -323,6 +323,10 @@ def test_search_exhaustive_guard():
             ["census", "--jobs", "abc"],
             "argument --jobs: invalid int value: 'abc'",
         ),
+        (
+            ["bounds", "exponent", "--base", "nan"],
+            "base must be finite and exceed 1",
+        ),
     ],
     ids=[
         "search-n",
@@ -333,6 +337,7 @@ def test_search_exhaustive_guard():
         "color-eisenstein-bound",
         "census-jobs-0",
         "census-jobs-abc",
+        "bounds-base-nan",
     ],
 )
 def test_negative_resource_input_exits_1(argv, message, capsys):

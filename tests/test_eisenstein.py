@@ -6,16 +6,14 @@ import pytest
 from wicketlab.eisenstein import (
     EisensteinPoint,
     OMEGA,
-    OMEGA2,
     ONE,
     ROT60,
     ZERO,
     coordinate_norm,
-    equilateral_completions,
-    is_equilateral,
     region_points,
     ring_norm,
 )
+from wicketlab.eqfree import equilateral_equation, has_solution
 from oracles import equilateral_by_sides
 
 
@@ -24,6 +22,7 @@ def P(a, b):
 
 
 def test_unit_identities():
+    OMEGA2 = P(-1, -1)  # w^2 = -1 - w
     assert OMEGA * OMEGA == OMEGA2
     assert OMEGA * OMEGA2 == ONE
     assert ONE + OMEGA + OMEGA2 == ZERO
@@ -61,29 +60,21 @@ def test_norm_values():
 
 
 def test_is_equilateral_agrees_with_side_lengths():
+    # the library's equilateral test is its equation: a triple solves
+    # t - w = omega(w - v) exactly when its sides are equal
+    spec = equilateral_equation()
     region = region_points(2, "coordinate")
     assert len(region) == 9
     for triple in combinations(region, 3):
-        assert is_equilateral(*triple) == equilateral_by_sides(*triple)
+        solved = has_solution(triple, spec) is not None
+        assert solved == equilateral_by_sides(*triple)
 
 
 def test_specific_triangles():
-    assert not is_equilateral(P(0, 0), P(1, 0), P(0, 1))
-    assert is_equilateral(P(0, 0), P(1, 0), P(1, 1))
-    assert is_equilateral(P(0, 0), P(1, 0), P(0, -1))
-
-
-def test_is_equilateral_rejects_repeats():
-    with pytest.raises(ValueError):
-        is_equilateral(P(0, 0), P(0, 0), P(1, 0))
-
-
-def test_equilateral_completions():
-    a, b = equilateral_completions(P(0, 0), P(1, 0))
-    assert a != b
-    for c in (a, b):
-        assert is_equilateral(P(0, 0), P(1, 0), c)
-    assert equilateral_completions(P(0, 0), P(1, 0)) == (a, b)  # deterministic
+    spec = equilateral_equation()
+    assert has_solution([P(0, 0), P(1, 0), P(0, 1)], spec) is None
+    assert has_solution([P(0, 0), P(1, 0), P(1, 1)], spec) is not None
+    assert has_solution([P(0, 0), P(1, 0), P(0, -1)], spec) is not None
 
 
 def test_region_points_counts_and_order():

@@ -28,6 +28,8 @@ from wicketlab.errors import DomainTooLargeError, SetFileError
 from wicketlab.gf3 import all_vectors, is_ap3_free
 from oracles import (
     F3Elem,
+    constant_solves,
+    equilateral_by_sides,
     max_free_first_by_has_solution,
     modular_solution_raw,
     ruzsa_max_fullenum,
@@ -48,7 +50,7 @@ def test_spec_validation():
 
 def test_ruzsa_constant_satisfies():
     spec = ruzsa_equation()
-    assert spec.satisfied_by_constant(1)
+    assert constant_solves(spec, 1)
     assert spec.is_trivial({"x": 2, "y": 2, "z": 2, "w": 2})
     assert not spec.is_trivial({"x": 1, "y": 2, "z": 2, "w": 2})
 
@@ -228,7 +230,7 @@ def test_reduced_gf3_equation_detects_caps():
     into y + z + w = 0, whose nontrivial solutions are exactly the
     zero-sum triples of distinct vectors."""
     reduced = _reduced_gf3_equation()
-    assert reduced.satisfied_by_constant(F3Elem((1, 0)))
+    assert constant_solves(reduced, F3Elem((1, 0)))
     rng = random.Random(23)
     vecs = list(all_vectors(2))
     for _ in range(60):
@@ -238,8 +240,6 @@ def test_reduced_gf3_equation_detects_caps():
 
 
 def test_equilateral_equation_over_points():
-    from wicketlab.eisenstein import OMEGA, is_equilateral
-
     spec = equilateral_equation()
     corners = [
         EisensteinPoint(-1, 0),
@@ -249,7 +249,7 @@ def test_equilateral_equation_over_points():
     sol = has_solution(corners, spec)
     assert sol is not None
     assert sol["t"] - sol["w"] == OMEGA * (sol["w"] - sol["v"])
-    assert is_equilateral(sol["t"], sol["v"], sol["w"])
+    assert equilateral_by_sides(sol["t"], sol["v"], sol["w"])
     assert is_free(
         [EisensteinPoint(0, 0), EisensteinPoint(1, 0), EisensteinPoint(0, 1)], spec
     )
