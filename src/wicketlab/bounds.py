@@ -7,7 +7,7 @@ quantity elsewhere in the package is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Reference upper-bound base for progression-free sets in F_3^n that an
 # improved wicket Turan exponent would have to beat.
@@ -51,8 +51,7 @@ def gowers_long_constant(exponent: float) -> float:
     return 2.0 - exponent
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     vertices: int
     edges_total: int
     edges_selected: int

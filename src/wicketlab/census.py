@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .hypergraph import TripartiteHypergraph, find_63, find_wickets
 
@@ -136,8 +135,7 @@ def detector_classify(ids) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     total_candidates: int
     linear: int
     wicket: int

@@ -17,44 +17,9 @@ import json
 import os
 import sys
 from contextlib import ExitStack
+from importlib import import_module
 from typing import Optional
 
-from .bounds import (
-    CAP_BOUND_BASELINE,
-    asymptotic_exponent,
-    cap_bound_base,
-    concrete_exponent,
-    gowers_long_constant,
-    improves_cap_bound,
-    selection_report,
-)
-from .census import (
-    iter_classified,
-    minimal_free_example,
-    run_census,
-)
-from .coloring import color_edges, colors_needed
-from .construction import (
-    build_eisenstein,
-    build_f3,
-    build_modular,
-    build_wickets,
-    plane_wicket_counts,
-    wicket_dependency_degree,
-)
-from .eisenstein import EisensteinPoint, region_points
-from .eqfree import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    TRIANGLE_EXHAUSTIVE_LIMIT,
-    equilateral_equation,
-    load_eisenstein_set_file,
-    load_int_set_file,
-    max_free_exhaustive,
-    max_free_heuristic,
-    max_triangle_free,
-    modular_equation,
-    ruzsa_equation,
-)
 from .errors import (
     CapFileError,
     CapVerificationError,
@@ -63,15 +28,74 @@ from .errors import (
     SetFileError,
     WicketlabError,
 )
-from .gf3 import (
-    lift_cap,
-    load_cap_file,
-    max_cap_exact,
-    product_cap,
-    vec_to_string,
-    write_cap_file,
-)
-from .hypergraph import write_hypergraph_text
+
+# The module of each library name the commands call. A command binds
+# the names of the modules it runs (`_bind`) as it starts, so no command
+# imports a layer it does not use. `__getattr__` binds a name on
+# attribute access, so `cli.<name>` can be read and patched before
+# `main` runs, and `main` calls whatever value was set.
+_LAZY = {
+    "CAP_BOUND_BASELINE": "bounds",
+    "asymptotic_exponent": "bounds",
+    "cap_bound_base": "bounds",
+    "concrete_exponent": "bounds",
+    "gowers_long_constant": "bounds",
+    "improves_cap_bound": "bounds",
+    "selection_report": "bounds",
+    "iter_classified": "census",
+    "minimal_free_example": "census",
+    "run_census": "census",
+    "color_edges": "coloring",
+    "colors_needed": "coloring",
+    "build_eisenstein": "construction",
+    "build_f3": "construction",
+    "build_modular": "construction",
+    "build_wickets": "construction",
+    "plane_wicket_counts": "construction",
+    "wicket_dependency_degree": "construction",
+    "EisensteinPoint": "eisenstein",
+    "region_points": "eisenstein",
+    "region_scan_size": "eisenstein",
+    "DEFAULT_EXHAUSTIVE_LIMIT": "eqfree",
+    "MAX_DOMAIN_SIZE": "eqfree",
+    "TRIANGLE_EXHAUSTIVE_LIMIT": "eqfree",
+    "equilateral_equation": "eqfree",
+    "load_eisenstein_set_file": "eqfree",
+    "load_int_set_file": "eqfree",
+    "max_free_exhaustive": "eqfree",
+    "max_free_heuristic": "eqfree",
+    "max_triangle_free": "eqfree",
+    "modular_equation": "eqfree",
+    "ruzsa_equation": "eqfree",
+    "lift_cap": "gf3",
+    "load_cap_file": "gf3",
+    "max_cap_exact": "gf3",
+    "product_cap": "gf3",
+    "vec_to_string": "gf3",
+    "write_cap_file": "gf3",
+    "write_hypergraph_text": "hypergraph",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*modules: str) -> None:
+    """Bind the names of `modules` that are not bound yet; a name set
+    on the module before stays as it was set."""
+    bound = globals()
+    for name, module in _LAZY.items():
+        if module in modules and name not in bound:
+            __getattr__(name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,6 +144,7 @@ def _cap_json(cap) -> dict:
 
 
 def cmd_cap(args) -> int:
+    _bind("gf3")
     if args.action == "verify":
         try:
             cap = load_cap_file(args.file)
@@ -148,15 +173,29 @@ def cmd_cap(args) -> int:
     return 0
 
 
+def _check_domain(size: int, flag: str) -> None:
+    """Refuse a domain of more than MAX_DOMAIN_SIZE candidates before it
+    is built."""
+    if size > MAX_DOMAIN_SIZE:
+        raise DomainTooLargeError(
+            f"{flag} asks for {size} domain candidates; the limit is "
+            f"{MAX_DOMAIN_SIZE}"
+        )
+
+
 def _make_build(args):
     """Shared between `build` and `color`: returns (build, n, set_size)."""
     if args.family == "f3":
+        _bind("gf3")
         cap = load_cap_file(args.cap)
         return build_f3(cap), cap.dimension, len(cap)
+    _bind("eisenstein", "eqfree")
     if args.family == "modular":
         n = args.k * args.k - args.k + 1
+        _check_domain(n, "--k")
         elems = load_int_set_file(args.set, modulus=n)
         return build_modular(elems, args.k), n, len(elems)
+    _check_domain(region_scan_size(args.bound), "--bound")
     if args.set is not None:
         elems = load_eisenstein_set_file(args.set)
     else:
@@ -173,6 +212,7 @@ def _make_build(args):
 
 
 def cmd_build(args) -> int:
+    _bind("bounds", "coloring", "construction", "hypergraph")
     with ExitStack() as stack:
         out, report_file = _open_outputs(stack, args.out, args.report)
         build, n, set_size = _make_build(args)
@@ -206,6 +246,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_color(args) -> int:
+    _bind("coloring", "construction", "hypergraph")
     with ExitStack() as stack:
         (out,) = _open_outputs(stack, args.out)
         build, _n, set_size = _make_build(args)
@@ -249,18 +290,22 @@ def _set_json(elements) -> list:
 
 
 def cmd_search(args) -> int:
+    _bind("eisenstein", "eqfree")
     if args.problem == "ruzsa":
+        _check_domain(args.n, "--n")
         spec = ruzsa_equation()
         domain = tuple(range(1, args.n + 1))
         label = f"1..{args.n}"
         limit = DEFAULT_EXHAUSTIVE_LIMIT
     elif args.problem == "modular":
-        spec = modular_equation(args.k)
         n = args.k * args.k - args.k + 1
+        _check_domain(n, "--k")
+        spec = modular_equation(args.k)
         domain = tuple(range(n))
         label = f"Z/{n}"
         limit = DEFAULT_EXHAUSTIVE_LIMIT
     else:
+        _check_domain(region_scan_size(args.bound), "--bound")
         spec = equilateral_equation()
         domain = region_points(args.bound, norm=args.norm)
         label = f"{args.norm}<={args.bound}"
@@ -290,6 +335,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_census(args) -> int:
+    _bind("census")
     with ExitStack() as stack:
         (csv,) = _open_outputs(stack, args.csv)
         report = run_census(use_detectors=args.detectors)
@@ -316,6 +362,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _bind("bounds")
     if args.calc == "exponent":
         if args.base is not None:
             value = asymptotic_exponent(args.base)
@@ -349,7 +396,7 @@ def _add_build_family_args(sub) -> None:
     f3.set_defaults(family="f3")
 
     mod = sub.add_parser("modular", help="residue construction mod k^2-k+1")
-    mod.add_argument("--k", type=int, required=True)
+    mod.add_argument("--k", type=_int_at_least(2), required=True)
     mod.add_argument("--set", required=True, help="set file, one residue per line")
     mod.set_defaults(family="modular")
 
@@ -420,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     modular = search_sub.add_parser(
         "modular", help="kx-(k-1)y=z over the residues mod k^2-k+1"
     )
-    modular.add_argument("--k", type=int, required=True)
+    modular.add_argument("--k", type=_int_at_least(2), required=True)
     triangle = search_sub.add_parser(
         "triangle", help="equilateral-free subsets of a lattice disc"
     )

@@ -16,8 +16,7 @@ indexed by wickets_by_edge.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .construction import PlaneWickets, build_wickets, wickets_by_edge
 from .errors import ColoringBudgetError, IncompleteWicketListError
@@ -38,8 +37,7 @@ def colors_needed(set_size: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(NamedTuple):
     color_count: int
     assignment: tuple  # edge id -> color
     seed: int
@@ -47,14 +45,21 @@ class EdgeColoring:
     resamples: int
 
 
-@dataclass(frozen=True, eq=False)
 class ColorClassSelection:
-    """Largest color class of a successful coloring, as a subhypergraph."""
+    """Largest color class of a successful coloring, as a subhypergraph.
+    Selections compare by identity."""
 
-    coloring: EdgeColoring
-    color: int
-    edge_ids: tuple  # original edge ids, ascending
-    hypergraph: TripartiteHypergraph
+    def __init__(
+        self,
+        coloring: EdgeColoring,
+        color: int,
+        edge_ids: tuple,  # original edge ids, ascending
+        hypergraph: TripartiteHypergraph,
+    ):
+        self.coloring = coloring
+        self.color = color
+        self.edge_ids = edge_ids
+        self.hypergraph = hypergraph
 
 
 def _monochromatic(colors: list, edge_ids: tuple) -> bool:

@@ -38,33 +38,38 @@ The other families list their wickets with the generic detector.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .eisenstein import OMEGA, ZERO, EisensteinPoint, region_points
-from .eqfree import (
-    EquationSpec,
-    _canon,
-    _is_zero,
-    iter_nontrivial_solutions,
-)
-from .gf3 import CapSet, all_vectors, f3_add, f3_scale, f3_sub
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
+# The layer of each family (gf3, eisenstein) and the equation layer
+# (eqfree) are imported by the functions that use them, so building one
+# family loads neither the other family's layer nor the search layer.
+if TYPE_CHECKING:
+    from .eisenstein import EisensteinPoint
+    from .eqfree import EquationSpec
+    from .gf3 import CapSet
 
-@dataclass(frozen=True, eq=False)
+
 class Build:
     """Edges (a, a + mu*s, a + nu*s) for every direction s and base a.
 
     Edge ids run over the directions in order and, within one
     direction, over the bases in order: edge i * len(bases) + j is
-    (bases[j], directions[i]).
+    (bases[j], directions[i]). Builds compare by identity.
     """
 
-    directions: tuple
-    bases: tuple
-    hypergraph: TripartiteHypergraph
-    plane_families: bool  # GF(3): wickets come in affine planes
+    def __init__(
+        self,
+        directions: tuple,
+        bases: tuple,
+        hypergraph: TripartiteHypergraph,
+        plane_families: bool,  # GF(3): wickets come in affine planes
+    ):
+        self.directions = directions
+        self.bases = bases
+        self.hypergraph = hypergraph
+        self.plane_families = plane_families
 
 
 def _build(
@@ -100,6 +105,8 @@ def _build(
 
 def build_f3(cap: CapSet) -> Build:
     """(a, a+s, a+2s) for every a in F_3^n and every s in a verified cap."""
+    from .gf3 import all_vectors, f3_add, f3_scale
+
     if not cap.verified:
         raise ValueError("build_f3 needs a verified progression-free set")
     vectors = tuple(all_vectors(cap.dimension))
@@ -133,6 +140,8 @@ def build_eisenstein(
     All three vertex classes use the same expanded point list, padded
     so that every edge endpoint has an index even at the boundary.
     """
+    from .eisenstein import OMEGA, ZERO, region_points
+
     region = region_points(bound, norm=norm)
     elems = sorted(set(elements))
     deltas = {ZERO}
@@ -171,6 +180,8 @@ class PlaneWickets:
         # array is an extension module; importing it here keeps it out
         # of the commands that never list a GF(3) build's wickets
         from array import array
+
+        from .gf3 import f3_sub
 
         directions = build.directions
         size = len(build.bases)  # all of F_3^n in encode order
@@ -303,6 +314,8 @@ def wicket_system(lam, modulus: Optional[int] = None) -> EquationSpec:
     edges or makes two parallel edges share a vertex, so such solutions
     do not correspond to wickets and count as trivial.
     """
+    from .eqfree import EquationSpec, _is_zero
+
     lam2 = lam * lam
 
     def degenerate(assign: dict) -> bool:
@@ -350,6 +363,8 @@ def wicket_witness(
     base, so the first solution always qualifies; in a lattice disc a
     solution can have no feasible base at all.
     """
+    from .eqfree import _canon, iter_nontrivial_solutions
+
     base_set = set(bases)
     spec = wicket_system(mu * nu, modulus)  # nu / mu, as mu is +-1
     for solution in iter_nontrivial_solutions(directions, spec):

@@ -8,12 +8,13 @@ w^2 = -1 - w, 1 + w = e^{i*pi/3} (the rotation by pi/3), and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class EisensteinPoint:
+class EisensteinPoint(NamedTuple):
+    """The point a + w*b. It is the tuple (a, b), so points sort and
+    hash as that tuple; +, - and * are the ring operations."""
+
     a: int
     b: int
 
@@ -70,6 +71,19 @@ NORM_FUNCTIONS: dict = {
 }
 
 
+def _scan_radius(bound: int) -> int:
+    # a^2 - ab + b^2 >= (a^2 + b^2)/2, so a box of radius isqrt(2*bound)
+    # covers both norms.
+    return math.isqrt(2 * bound) + 1
+
+
+def region_scan_size(bound: int) -> int:
+    """How many lattice points region_points tests for a bound of at
+    least 0: its square box, about 8 * bound."""
+    side = 2 * _scan_radius(bound) + 1
+    return side * side
+
+
 def region_points(bound: int, norm: str = "coordinate") -> tuple:
     """All lattice points with the chosen norm <= bound, sorted by (a, b)."""
     if bound < 0:
@@ -80,9 +94,7 @@ def region_points(bound: int, norm: str = "coordinate") -> tuple:
         raise ValueError(
             f"unknown norm {norm!r}; expected one of {sorted(NORM_FUNCTIONS)}"
         ) from None
-    # a^2 - ab + b^2 >= (a^2 + b^2)/2, so a box of radius isqrt(2*bound)
-    # covers both norms.
-    radius = math.isqrt(2 * bound) + 1
+    radius = _scan_radius(bound)
     points = []
     for a in range(-radius, radius + 1):
         for b in range(-radius, radius + 1):

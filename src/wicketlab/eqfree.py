@@ -25,38 +25,48 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .eisenstein import ONE, OMEGA, ROT60, EisensteinPoint, region_points
 from .errors import DomainTooLargeError, SetFileError
 
 DEFAULT_EXHAUSTIVE_LIMIT = 30
 TRIANGLE_EXHAUSTIVE_LIMIT = 22
+# The most candidates a CLI domain may list: 1..n for `search ruzsa`,
+# the k^2 - k + 1 residues of a modular search or build, and the lattice
+# points region_points scans for a disc. Larger inputs are refused
+# before the domain is built.
+MAX_DOMAIN_SIZE = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
 class EquationSpec:
     """Conjunction of relations, each a tuple of (variable, coefficient)
-    terms summing to zero. `trivial` overrides the all-equal rule."""
+    terms summing to zero. `trivial` overrides the all-equal rule.
+    Specs compare by identity."""
 
-    name: str
-    variables: tuple
-    relations: tuple
-    modulus: Optional[int] = None
-    trivial: Optional[Callable] = None
-
-    def __post_init__(self):
-        if not self.variables:
+    def __init__(
+        self,
+        name: str,
+        variables: tuple,
+        relations: tuple,
+        modulus: Optional[int] = None,
+        trivial: Optional[Callable] = None,
+    ):
+        if not variables:
             raise ValueError("equation needs at least one variable")
-        if not self.relations:
+        if not relations:
             raise ValueError("equation needs at least one relation")
-        known = set(self.variables)
-        for relation in self.relations:
+        known = set(variables)
+        for relation in relations:
             for var, _coeff in relation:
                 if var not in known:
                     raise ValueError(f"relation uses unknown variable {var!r}")
+        self.name = name
+        self.variables = variables
+        self.relations = relations
+        self.modulus = modulus
+        self.trivial = trivial
 
     def is_trivial(self, assignment: dict) -> bool:
         if self.trivial is not None:
@@ -209,8 +219,7 @@ def equilateral_equation() -> EquationSpec:
     )
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     elements: tuple
     method: str  # exhaustive | greedy | local
     verified: bool

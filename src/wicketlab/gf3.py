@@ -11,12 +11,10 @@ first, so `encode` orders them the same way as base-3 integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-from .eqfree import _max_free_mask
 from .errors import (
     CapFileError,
     CapVerificationError,
@@ -84,13 +82,27 @@ def string_to_vec(text: str) -> Vec:
     return tuple(int(ch) for ch in text)
 
 
-@dataclass(frozen=True)
 class CapSet:
-    """A finite subset of F_3^n, optionally verified progression-free."""
+    """A finite subset of F_3^n, optionally verified progression-free.
+    Caps are equal when dimension, elements and `verified` agree."""
 
-    dimension: int
-    elements: frozenset
-    verified: bool = False
+    def __init__(
+        self, dimension: int, elements: frozenset, verified: bool = False
+    ):
+        self.dimension = dimension
+        self.elements = elements
+        self.verified = verified
+
+    def _key(self) -> tuple:
+        return (self.dimension, self.elements, self.verified)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -192,6 +204,8 @@ def max_cap_exact(dimension: int) -> CapSet:
         )
     if dimension == 0:
         return CapSet(0, frozenset({()}), True)
+    # imported here so that loading a cap does not load the search layer
+    from .eqfree import _max_free_mask
 
     size = 3**dimension
     vecs = [decode(i, dimension) for i in range(size)]

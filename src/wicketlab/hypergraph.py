@@ -12,24 +12,22 @@ Vertices live in three index classes A, B, C. An edge is a triple
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Edge = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class TripartiteHypergraph:
-    class_sizes: tuple[int, int, int]
-    edges: tuple[Edge, ...]
+    """Class sizes and edges; hypergraphs with equal ones are equal."""
 
-    def __post_init__(self):
-        sizes = tuple(self.class_sizes)
-        object.__setattr__(self, "class_sizes", sizes)
+    def __init__(
+        self, class_sizes: tuple[int, int, int], edges: tuple[Edge, ...]
+    ):
+        sizes = tuple(class_sizes)
         if len(sizes) != 3 or any(s < 0 for s in sizes):
             raise ValueError(f"bad class sizes {sizes}")
-        edges = tuple(tuple(e) for e in self.edges)
+        edges = tuple(tuple(e) for e in edges)
         for e in edges:
             if len(e) != 3:
                 raise ValueError(f"edge {e} is not a triple")
@@ -38,7 +36,18 @@ class TripartiteHypergraph:
                     raise ValueError(
                         f"edge {e}: index {e[cls]} out of range for class {cls}"
                     )
-        object.__setattr__(self, "edges", edges)
+        self.class_sizes = sizes
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.class_sizes == other.class_sizes and self.edges == other.edges
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.class_sizes, self.edges))
 
     @property
     def vertex_count(self) -> int:
@@ -59,8 +68,7 @@ class TripartiteHypergraph:
         )
 
 
-@dataclass(frozen=True)
-class WicketWitness:
+class WicketWitness(NamedTuple):
     """Row/column edge indices of one wicket; rows and columns sorted."""
 
     rows: tuple[int, int, int]
@@ -71,8 +79,7 @@ class WicketWitness:
         return tuple(sorted(self.rows + self.columns))
 
 
-@dataclass(frozen=True)
-class SixThreeWitness:
+class SixThreeWitness(NamedTuple):
     """Edge indices of one (6,3) triangle."""
 
     edges: tuple[int, int, int]

@@ -1,5 +1,4 @@
 from collections import Counter
-from itertools import combinations
 
 from wicketlab.census import (
     GRID_EDGES,

@@ -327,6 +327,39 @@ def test_search_exhaustive_guard():
             ["bounds", "exponent", "--base", "nan"],
             "base must be finite and exceed 1",
         ),
+        (
+            ["search", "ruzsa", "--n", "50000000"],
+            "--n asks for 50000000 domain candidates; the limit is 1000000",
+        ),
+        (
+            ["search", "modular", "--k", "10000"],
+            "--k asks for 99990001 domain candidates; the limit is 1000000",
+        ),
+        (
+            ["build", "modular", "--k", "10000", "--set", "/nonexistent"],
+            "--k asks for 99990001 domain candidates; the limit is 1000000",
+        ),
+        (
+            ["color", "modular", "--k", "1001", "--set", "/nonexistent"],
+            "--k asks for 1001001 domain candidates; the limit is 1000000",
+        ),
+        (
+            ["search", "triangle", "--bound", "1000000000"],
+            "--bound asks for 8000408025 domain candidates",
+        ),
+        (
+            ["build", "eisenstein", "--bound", "1000000000", "--auto"],
+            "--bound asks for 8000408025 domain candidates",
+        ),
+        (
+            ["color", "eisenstein", "--bound", "125000", "--set", "/nonexistent"],
+            "--bound asks for 1006009 domain candidates",
+        ),
+        (
+            ["build", "modular", "--k", "1", "--set", "/nonexistent"],
+            "argument --k: must be at least 2, got 1",
+        ),
+        (["search", "modular", "--k", "1"], "argument --k: must be at least 2"),
     ],
     ids=[
         "search-n",
@@ -338,6 +371,15 @@ def test_search_exhaustive_guard():
         "census-jobs-0",
         "census-jobs-abc",
         "bounds-base-nan",
+        "search-ruzsa-domain",
+        "search-modular-domain",
+        "build-modular-domain",
+        "color-modular-domain",
+        "search-triangle-domain",
+        "build-eisenstein-domain",
+        "color-eisenstein-domain",
+        "build-modular-k-1",
+        "search-modular-k-1",
     ],
 )
 def test_negative_resource_input_exits_1(argv, message, capsys):

@@ -20,7 +20,7 @@ from wicketlab.construction import (
 )
 from wicketlab.eisenstein import EisensteinPoint, OMEGA, ROT60, ZERO, region_points
 from wicketlab.eqfree import has_solution
-from wicketlab.gf3 import CapSet, binary_cap, max_cap_exact, product_cap, verify_cap
+from wicketlab.gf3 import CapSet, binary_cap, max_cap_exact, verify_cap
 from wicketlab.hypergraph import find_63, find_wickets, write_hypergraph_text
 from oracles import (
     ap3_free_cubic,

@@ -1,9 +1,19 @@
 import importlib
 import inspect
+import json
 import runpy
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import wicketlab
+from wicketlab.coloring import color_edges
+from wicketlab.construction import build_f3
+from wicketlab.eisenstein import EisensteinPoint
+from wicketlab.eqfree import EquationSpec
+from wicketlab.gf3 import CapSet, binary_cap
+from wicketlab.hypergraph import TripartiteHypergraph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +37,98 @@ def test_tracer_sites_resolve():
     for module, attr in tracing["GENERATOR_SITES"]:
         fn = getattr(importlib.import_module(module), attr)
         assert inspect.isgeneratorfunction(fn), f"{module}.{attr}"
+
+
+def _fresh(code: str) -> dict:
+    """Run `code` in a new interpreter; it prints one JSON object."""
+    res = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_commands_import_only_their_layers():
+    seen = _fresh(
+        """
+        import json, sys
+        before = set(sys.modules)
+        import wicketlab.cli as cli
+        startup = sorted(set(sys.modules) - before)
+        layers = {}
+        for argv in (["search", "ruzsa", "--n", "5"], ["census"]):
+            loaded = set(sys.modules)
+            assert cli.main(argv) == 0
+            layers[argv[0]] = sorted(set(sys.modules) - loaded)
+        print(json.dumps({"startup": startup, **layers}))
+        """
+    )
+    assert "dataclasses" not in seen["startup"]
+    assert [m for m in seen["startup"] if m.startswith("wicketlab.")] == [
+        "wicketlab.cli",
+        "wicketlab.errors",
+    ]
+    assert "wicketlab.eqfree" in seen["search"]
+    for module in ("wicketlab.construction", "wicketlab.census"):
+        assert module not in seen["search"]
+    assert "wicketlab.census" in seen["census"]
+    assert "wicketlab.eqfree" not in seen["census"]
+
+
+def test_cli_calls_the_value_set_before_main():
+    seen = _fresh(
+        """
+        import contextlib, io, json, types
+        import wicketlab.cli as cli
+        calls = []
+
+        def stub(use_detectors=False):
+            calls.append(use_detectors)
+            return types.SimpleNamespace(
+                total_candidates=1, linear=2, wicket=3, six_three=4,
+                both=5, full_coverage=6, counterexamples=(), verified=True,
+            )
+
+        cli.run_census = stub
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["census"])
+        missing = [name for name in cli._LAZY if not hasattr(cli, name)]
+        print(json.dumps({"code": code, "calls": calls, "missing": missing,
+                          "same": cli.run_census is stub,
+                          "out": json.loads(out.getvalue())}))
+        """
+    )
+    assert seen["code"] == 0 and seen["calls"] == [False]
+    assert seen["same"] and seen["missing"] == []
+    assert seen["out"]["linear"] == 2 and seen["out"]["both"] == 5
+
+
+def test_record_semantics():
+    points = [EisensteinPoint(a, b) for a, b in ((2, -1), (0, 3), (0, -2))]
+    assert sorted(points) == sorted((p.a, p.b) for p in points)
+    assert [hash(p) for p in points] == [hash((p.a, p.b)) for p in points]
+    assert EisensteinPoint(1, 2) < EisensteinPoint(1, 3) < EisensteinPoint(2, 0)
+
+    h = TripartiteHypergraph((2, 2, 2), ((0, 1, 0), (1, 0, 1)))
+    twin = TripartiteHypergraph([2, 2, 2], [[0, 1, 0], [1, 0, 1]])
+    assert h == twin and hash(h) == hash(twin)
+    assert h.edge_masks is h.edge_masks  # cached_property: computed once
+    cap = CapSet(2, frozenset({(0, 0), (0, 1), (1, 0)}), True)
+    assert cap == CapSet(2, frozenset(cap.elements), True)
+    assert hash(cap) == hash(CapSet(2, frozenset(cap.elements), True))
+    assert cap != CapSet(2, cap.elements, False)
+    assert cap.sorted_elements is cap.sorted_elements
+
+    # these records compare by identity, even with equal fields
+    build, again = build_f3(binary_cap(2)), build_f3(binary_cap(2))
+    assert build == build and build != again
+    assert hash(build) != hash(again)
+    spec = EquationSpec("x=y", ("x", "y"), ((("x", 1), ("y", -1)),))
+    assert spec != EquationSpec("x=y", spec.variables, spec.relations)
+    first, second = (color_edges(build, seed=0) for _ in range(2))
+    assert first == first and first != second
+    assert first.coloring == second.coloring  # a value record
