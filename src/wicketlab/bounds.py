@@ -31,6 +31,20 @@ def concrete_exponent(selected_edges: int, vertices: int) -> float:
     return math.log(selected_edges) / math.log(vertices)
 
 
+def dimension_exponent(selected_edges: int, n: int) -> float:
+    """concrete_exponent(selected_edges, 3^(n+1)) for a build over
+    GF(3)^n, computed as log(selected) / ((n+1) log 3) so that 3^(n+1)
+    is never built and a huge n costs no time."""
+    if n < 0:
+        raise ValueError("n must be at least 0")
+    if selected_edges < 1:
+        raise ValueError("need at least 1 selected edge")
+    try:
+        return math.log(selected_edges) / ((n + 1) * math.log(3.0))
+    except OverflowError:  # n + 1 is past the float range
+        return 0.0
+
+
 def cap_bound_base(c: float) -> float:
     """3^{(4/3)(1-c)}: the progression-free bound base implied by a
     wicket Turan upper bound with exponent 2 - c."""

@@ -1,22 +1,27 @@
 """Exhaustive census of 5-edge transversal systems on the 3x3x3 grid.
 
 The grid has 27 transversal edges (one vertex in each of the three
-classes of size 3), indexed by 9a + 3b + c. Every C(27,5) = 80730
-candidate 5-subset is filtered for linearity and the linear ones are
-classified: does the system contain a wicket, a (6,3), both, or
-neither? The expected outcome is an empty "neither" bucket.
+classes of size 3), indexed by 9a + 3b + c. Of the C(27,5) = 80730
+candidate 5-subsets, the linear ones are classified: does the system
+contain a wicket, a (6,3), both, or neither? The expected outcome is an
+empty "neither" bucket.
 
-Two classification routes exist on purpose: cheap table lookups over
-precomputed pairwise-share data (default), and the generic detectors
-from the hypergraph module. Agreement between them is a test surface,
-not an implementation detail.
+The default route works on integer bitmasks: an edge is a 9-bit vertex
+mask and a system a 27-bit edge mask. One walk visits the linear
+5-sets in ascending order, takes each level's candidates by AND-ing
+per-edge masks, and carries the (6,3) flag and the covered vertices
+down the levels. A linear 5-edge system contains a wicket only if it is
+one, so the wicket test is a lookup in the set of the 216 wicket masks.
+`use_detectors` picks the generic detectors of the hypergraph module
+instead; the two routes are independent, and the tests compare them
+with each other and with a share-table oracle on every system.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .hypergraph import TripartiteHypergraph, find_63, find_wickets
 
@@ -24,20 +29,66 @@ GRID_EDGES = tuple(
     (a, b, c) for a in range(3) for b in range(3) for c in range(3)
 )
 
-
-def _share_tables():
-    share = [[0] * 27 for _ in range(27)]
-    shared_vertex = [[None] * 27 for _ in range(27)]
-    for i, e in enumerate(GRID_EDGES):
-        for j, f in enumerate(GRID_EDGES):
-            hits = [(cls, e[cls]) for cls in range(3) if e[cls] == f[cls]]
-            share[i][j] = len(hits)
-            if len(hits) == 1:
-                shared_vertex[i][j] = hits[0]
-    return share, shared_vertex
+# Vertex `value` of class `cls` is bit 3*cls + value.
+VERTEX_MASK = tuple(1 << a | 1 << 3 + b | 1 << 6 + c for a, b, c in GRID_EDGES)
+ALL_VERTICES = (1 << 9) - 1
 
 
-SHARE, SHARED_VERTEX = _share_tables()
+def _bits(mask: int) -> Iterator[int]:
+    """The set bit positions of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _edges_meeting(u: int, shared: int) -> int:
+    """Mask of the edges that meet vertex mask `u` in `shared` vertices."""
+    mask = 0
+    for j, v in enumerate(VERTEX_MASK):
+        if (u & v).bit_count() == shared:
+            mask |= 1 << j
+    return mask
+
+
+# Per edge: the edges it misses, and those it meets in exactly one vertex.
+DISJOINT = tuple(_edges_meeting(u, 0) for u in VERTEX_MASK)
+SINGLE = tuple(_edges_meeting(u, 1) for u in VERTEX_MASK)
+# Per edge e: the edges after e that may join it in a linear system.
+LINEAR_AFTER = tuple(
+    (DISJOINT[e] | SINGLE[e]) >> e + 1 << e + 1 for e in range(27)
+)
+
+
+def _six_three_closers() -> tuple:
+    """closers[a][b]: the edges c for which {a, b, c} is a (6,3). For a
+    and b meeting in vertex x, c meets each once, not at x (so the three
+    shared vertices are distinct); 0 when a and b do not share one."""
+    through = [_edges_meeting(1 << x, 1) for x in range(9)]
+    closers = [[0] * 27 for _ in range(27)]
+    for a in range(27):
+        for b in _bits(SINGLE[a]):
+            x = (VERTEX_MASK[a] & VERTEX_MASK[b]).bit_length() - 1
+            closers[a][b] = SINGLE[a] & SINGLE[b] & ~through[x]
+    return tuple(tuple(row) for row in closers)
+
+
+def _wicket_masks() -> frozenset:
+    """Edge masks of the grid's wickets: disjoint columns i < j and three
+    pairwise disjoint rows, each meeting both columns once."""
+    masks = set()
+    for i in range(27):
+        for j in _bits(DISJOINT[i] >> i + 1 << i + 1):
+            rows = _bits(SINGLE[i] & SINGLE[j])
+            for r, s, t in itertools.combinations(rows, 3):
+                disjoint = DISJOINT[r] >> s & 1 and DISJOINT[r] >> t & 1
+                if disjoint and DISJOINT[s] >> t & 1:
+                    masks.add(1 << i | 1 << j | 1 << r | 1 << s | 1 << t)
+    return frozenset(masks)
+
+
+SIX_THREE_CLOSERS = _six_three_closers()
+WICKET_MASKS = _wicket_masks()
 
 
 def grid_system(ids: Iterable[int]) -> TripartiteHypergraph:
@@ -46,85 +97,78 @@ def grid_system(ids: Iterable[int]) -> TripartiteHypergraph:
     )
 
 
-def iter_linear_five_sets() -> Iterator[tuple]:
-    """Ascending 5-subsets of grid edges that form linear systems.
+def _classified(use_detectors: bool) -> Iterator[tuple]:
+    """(ids, has_wicket, has_63, covers_grid) for every linear 5-edge
+    system, ids ascending and systems in lexicographic order.
 
-    Pairwise share counts prune each nesting level, so non-linear
-    prefixes never expand.
+    Each level keeps the mask of the edges after it that meet every
+    chosen edge in at most one vertex, so non-linear prefixes never
+    expand. `closes` is the mask of the edges that would close a (6,3)
+    with two chosen edges.
     """
-    share = SHARE
+    after = LINEAR_AFTER
+    closers = SIX_THREE_CLOSERS
+    vmask = VERTEX_MASK
+    wickets = WICKET_MASKS
     for e1 in range(27):
-        s1 = share[e1]
-        for e2 in range(e1 + 1, 27):
-            if s1[e2] > 1:
-                continue
-            s2 = share[e2]
-            for e3 in range(e2 + 1, 27):
-                if s1[e3] > 1 or s2[e3] > 1:
-                    continue
-                s3 = share[e3]
-                for e4 in range(e3 + 1, 27):
-                    if s1[e4] > 1 or s2[e4] > 1 or s3[e4] > 1:
-                        continue
-                    s4 = share[e4]
-                    for e5 in range(e4 + 1, 27):
-                        if (
-                            s1[e5] > 1
-                            or s2[e5] > 1
-                            or s3[e5] > 1
-                            or s4[e5] > 1
-                        ):
-                            continue
-                        yield (e1, e2, e3, e4, e5)
+        k1 = closers[e1]
+        for e2 in _bits(after[e1]):
+            k2 = closers[e2]
+            cand3 = after[e1] & after[e2]
+            closes2 = k1[e2]
+            union2 = vmask[e1] | vmask[e2]
+            for e3 in _bits(cand3):
+                k3 = closers[e3]
+                cand4 = cand3 & after[e3]
+                has63_3 = closes2 >> e3 & 1
+                closes3 = closes2 | k1[e3] | k2[e3]
+                union3 = union2 | vmask[e3]
+                for e4 in _bits(cand4):
+                    cand5 = cand4 & after[e4]
+                    has63_4 = has63_3 | closes3 >> e4 & 1
+                    closes4 = closes3 | k1[e4] | k2[e4] | k3[e4]
+                    union4 = union3 | vmask[e4]
+                    edges4 = 1 << e1 | 1 << e2 | 1 << e3 | 1 << e4
+                    for e5 in _bits(cand5):
+                        ids = (e1, e2, e3, e4, e5)
+                        covers = (union4 | vmask[e5]) == ALL_VERTICES
+                        if use_detectors:
+                            has_w, has_63 = detector_classify(ids)
+                        else:
+                            has_w = (edges4 | 1 << e5) in wickets
+                            has_63 = bool(has63_4 | closes4 >> e5 & 1)
+                        yield ids, has_w, has_63, covers
+
+
+def iter_linear_five_sets() -> Iterator[tuple]:
+    """Ascending 5-subsets of grid edges that form linear systems."""
+    for ids, _has_w, _has_63, _covers in _classified(False):
+        yield ids
 
 
 def system_has_wicket(ids) -> bool:
-    """Table-based wicket test for a linear system of grid edges.
-
-    Tries every pair as the columns; on nine vertices, three pairwise
-    disjoint rows each meeting both columns once already pin all nine
-    vertices distinct.
-    """
-    share = SHARE
-    m = len(ids)
-    for p in range(m):
-        for q in range(p + 1, m):
-            i, j = ids[p], ids[q]
-            if share[i][j] != 0:
-                continue
-            rows = [ids[r] for r in range(m) if r != p and r != q]
-            if len(rows) != 3:
-                continue
-            a, b, c = rows
-            if share[a][b] or share[a][c] or share[b][c]:
-                continue
-            if all(share[r][i] == 1 and share[r][j] == 1 for r in rows):
-                return True
-    return False
+    """Whether the five grid edges `ids` form a wicket. A linear 5-edge
+    system contains a wicket only if it is one, and a wicket is linear."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return len(ids) == 5 and mask in WICKET_MASKS
 
 
 def system_has_63(ids) -> bool:
-    """Table-based (6,3) test: three edges, pairwise sharing one vertex,
-    with the three shared vertices distinct."""
-    share = SHARE
-    sv = SHARED_VERTEX
-    for ta, tb, tc in itertools.combinations(range(len(ids)), 3):
-        a, b, c = ids[ta], ids[tb], ids[tc]
-        if share[a][b] == 1 and share[a][c] == 1 and share[b][c] == 1:
-            x, y, z = sv[a][b], sv[a][c], sv[b][c]
-            if x != y and x != z and y != z:
-                return True
-    return False
+    """(6,3) test: three edges, pairwise sharing one vertex, with the
+    three shared vertices distinct."""
+    closers = SIX_THREE_CLOSERS
+    return any(
+        closers[a][b] >> c & 1 for a, b, c in itertools.combinations(ids, 3)
+    )
 
 
 def system_covers_grid(ids) -> bool:
-    used: set = set()
+    union = 0
     for i in ids:
-        a, b, c = GRID_EDGES[i]
-        used.add((0, a))
-        used.add((1, b))
-        used.add((2, c))
-    return len(used) == 9
+        union |= VERTEX_MASK[i]
+    return union == ALL_VERTICES
 
 
 def detector_classify(ids) -> tuple:
@@ -149,11 +193,16 @@ class CensusReport(NamedTuple):
         return not self.counterexamples
 
 
-def run_census(use_detectors: bool = False) -> CensusReport:
-    """Classify every linear 5-edge system."""
+def run_census(
+    use_detectors: bool = False, csv: Optional[TextIO] = None
+) -> CensusReport:
+    """Classify every linear 5-edge system in one pass. With `csv`, the
+    header and one row per system are written to it during that pass."""
     linear = wicket = six = both = cover = 0
     counterexamples: list = []
-    for ids, has_w, has_63 in iter_classified(use_detectors):
+    if csv is not None:
+        csv.write("e1,e2,e3,e4,e5,wicket,six_three\n")
+    for ids, has_w, has_63, covers in _classified(use_detectors):
         linear += 1
         if has_w:
             wicket += 1
@@ -163,8 +212,11 @@ def run_census(use_detectors: bool = False) -> CensusReport:
             both += 1
         if not has_w and not has_63:
             counterexamples.append(ids)
-        if system_covers_grid(ids):
+        if covers:
             cover += 1
+        if csv is not None:
+            row = ",".join(str(i) for i in ids)
+            csv.write(f"{row},{int(has_w)},{int(has_63)}\n")
     return CensusReport(
         total_candidates=math.comb(27, 5),
         linear=linear,
@@ -178,27 +230,19 @@ def run_census(use_detectors: bool = False) -> CensusReport:
 
 def iter_classified(use_detectors: bool = False) -> Iterator[tuple]:
     """(ids, has_wicket, has_63) for every linear system, in order."""
-    for ids in iter_linear_five_sets():
-        if use_detectors:
-            has_w, has_63 = detector_classify(ids)
-        else:
-            has_w = system_has_wicket(ids)
-            has_63 = system_has_63(ids)
+    for ids, has_w, has_63, _covers in _classified(use_detectors):
         yield ids, has_w, has_63
 
 
 def minimal_free_example() -> Optional[tuple]:
     """First 4-edge linear system with no (6,3) (a wicket needs five
     edges, so none of these can contain one)."""
-    share = SHARE
-    for ids in itertools.combinations(range(27), 4):
-        linear = True
-        for a, b in itertools.combinations(ids, 2):
-            if share[a][b] > 1:
-                linear = False
-                break
-        if not linear:
-            continue
-        if not system_has_63(ids):
-            return ids
+    after = LINEAR_AFTER
+    for e1 in range(27):
+        for e2 in _bits(after[e1]):
+            cand3 = after[e1] & after[e2]
+            for e3 in _bits(cand3):
+                for e4 in _bits(cand3 & after[e3]):
+                    if not system_has_63((e1, e2, e3, e4)):
+                        return e1, e2, e3, e4
     return None

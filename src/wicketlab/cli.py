@@ -29,7 +29,9 @@ from .errors import (
     WicketlabError,
 )
 
-# The module of each library name the commands call. A command binds
+# The module of each library name the commands call, and of
+# `iter_classified`, which no command calls but perfbench/tracing.py
+# wraps as `cli.iter_classified`. A command binds
 # the names of the modules it runs (`_bind`) as it starts, so no command
 # imports a layer it does not use. `__getattr__` binds a name on
 # attribute access, so `cli.<name>` can be read and patched before
@@ -38,7 +40,7 @@ _LAZY = {
     "CAP_BOUND_BASELINE": "bounds",
     "asymptotic_exponent": "bounds",
     "cap_bound_base": "bounds",
-    "concrete_exponent": "bounds",
+    "dimension_exponent": "bounds",
     "gowers_long_constant": "bounds",
     "improves_cap_bound": "bounds",
     "selection_report": "bounds",
@@ -338,7 +340,7 @@ def cmd_census(args) -> int:
     _bind("census")
     with ExitStack() as stack:
         (csv,) = _open_outputs(stack, args.csv)
-        report = run_census(use_detectors=args.detectors)
+        report = run_census(use_detectors=args.detectors, csv=csv)
         payload = {
             "total_candidates": report.total_candidates,
             "linear": report.linear,
@@ -352,11 +354,6 @@ def cmd_census(args) -> int:
         if args.minimality:
             witness = minimal_free_example()
             payload["minimality_witness"] = list(witness) if witness else None
-        if csv:
-            csv.write("e1,e2,e3,e4,e5,wicket,six_three\n")
-            for ids, has_w, has_63 in iter_classified(args.detectors):
-                row = ",".join(str(i) for i in ids)
-                csv.write(f"{row},{int(has_w)},{int(has_63)}\n")
     _emit(payload)
     return 0 if report.verified else 2
 
@@ -367,7 +364,7 @@ def cmd_bounds(args) -> int:
         if args.base is not None:
             value = asymptotic_exponent(args.base)
         elif args.selected is not None and args.n is not None:
-            value = concrete_exponent(args.selected, 3 ** (args.n + 1))
+            value = dimension_exponent(args.selected, args.n)
         else:
             print(
                 "error: provide --base or both --selected and --n",
@@ -497,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument(
         "--detectors",
         action="store_true",
-        help="classify with the generic detectors instead of share tables",
+        help="classify with the generic detectors instead of bitmask tables",
     )
     census.add_argument("--csv", help="write per-system classifications here")
     census.add_argument(
@@ -514,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     exponent.add_argument("--selected", type=int)
     exponent.add_argument(
         "--n",
-        type=int,
+        type=_int_at_least(0),
         help="GF(3) dimension; the vertex count is taken as 3^(n+1)",
     )
     corollary = bounds_sub.add_parser("corollary")

@@ -427,6 +427,77 @@ def relabeled(h: TripartiteHypergraph, rng):
     return TripartiteHypergraph(h.class_sizes, new_edges), edge_map
 
 
+# --------------------------------------------------------------- census
+# The census's earlier share-table classifiers, over the 27 edges
+# (a, b, c) of the 3x3x3 grid indexed by 9a + 3b + c.
+
+GRID_EDGES = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+
+
+def _grid_share_tables():
+    share = [[0] * 27 for _ in range(27)]
+    shared_vertex = [[None] * 27 for _ in range(27)]
+    for i, e in enumerate(GRID_EDGES):
+        for j, f in enumerate(GRID_EDGES):
+            hits = [(cls, e[cls]) for cls in range(3) if e[cls] == f[cls]]
+            share[i][j] = len(hits)
+            if len(hits) == 1:
+                shared_vertex[i][j] = hits[0]
+    return share, shared_vertex
+
+
+SHARE, SHARED_VERTEX = _grid_share_tables()
+
+
+def grid_linear_systems(size: int):
+    """Every `size`-subset of grid edges, in combinations order, in which
+    no two edges share two vertices."""
+    return [
+        ids for ids in combinations(range(27), size)
+        if all(SHARE[a][b] <= 1 for a, b in combinations(ids, 2))
+    ]
+
+
+def share_table_has_wicket(ids) -> bool:
+    """Every pair as the columns: disjoint, and the other three edges
+    pairwise disjoint rows that each meet both columns once."""
+    m = len(ids)
+    for p in range(m):
+        for q in range(p + 1, m):
+            i, j = ids[p], ids[q]
+            if SHARE[i][j] != 0:
+                continue
+            rows = [ids[r] for r in range(m) if r != p and r != q]
+            if len(rows) != 3:
+                continue
+            a, b, c = rows
+            if SHARE[a][b] or SHARE[a][c] or SHARE[b][c]:
+                continue
+            if all(SHARE[r][i] == 1 and SHARE[r][j] == 1 for r in rows):
+                return True
+    return False
+
+
+def share_table_has_63(ids) -> bool:
+    """Three edges pairwise sharing one vertex, the three shared
+    vertices distinct."""
+    sv = SHARED_VERTEX
+    for a, b, c in combinations(ids, 3):
+        if SHARE[a][b] == 1 and SHARE[a][c] == 1 and SHARE[b][c] == 1:
+            x, y, z = sv[a][b], sv[a][c], sv[b][c]
+            if x != y and x != z and y != z:
+                return True
+    return False
+
+
+def share_table_covers_grid(ids) -> bool:
+    used = set()
+    for i in ids:
+        a, b, c = GRID_EDGES[i]
+        used.update(((0, a), (1, b), (2, c)))
+    return len(used) == 9
+
+
 # ------------------------------------------------------------ equations
 
 def ruzsa_solution_raw(S) -> bool:

@@ -1,8 +1,9 @@
+import itertools
+import random
 from collections import Counter
 
 from wicketlab.census import (
     GRID_EDGES,
-    detector_classify,
     grid_system,
     iter_classified,
     iter_linear_five_sets,
@@ -13,7 +14,13 @@ from wicketlab.census import (
     system_has_wicket,
 )
 from wicketlab.hypergraph import find_63, find_wickets
-from oracles import is_linear
+from oracles import (
+    grid_linear_systems,
+    is_linear,
+    share_table_covers_grid,
+    share_table_has_63,
+    share_table_has_wicket,
+)
 
 # row and column edges of one 3x3 grid wicket, as grid edge ids 9a+3b+c
 WICKET_IDS = (0, 5, 13, 15, 26)
@@ -83,11 +90,38 @@ def test_linear_five_sets_complete():
     assert len(seen) == FROZEN["linear"]
 
 
-def test_table_and_detector_classifiers_agree_sampled():
-    for i, ids in enumerate(iter_linear_five_sets()):
-        if i % 17:
-            continue
-        assert (system_has_wicket(ids), system_has_63(ids)) == detector_classify(ids)
+def test_bitmask_oracle_and_detector_classifiers_agree():
+    """Every linear system, row for row and in order: the bitmask route,
+    the share-table oracle and the generic detectors classify alike, and
+    the cover flag matches the oracle's."""
+    bitmask = list(iter_classified(False))
+    oracle = [
+        (ids, share_table_has_wicket(ids), share_table_has_63(ids))
+        for ids in grid_linear_systems(5)
+    ]
+    assert len(oracle) == FROZEN["linear"]
+    assert bitmask == oracle
+    assert list(iter_classified(True)) == oracle
+    covers = [share_table_covers_grid(ids) for ids, _, _ in oracle]
+    assert [system_covers_grid(ids) for ids, _, _ in bitmask] == covers
+    assert run_census().full_coverage == sum(covers)
+
+
+def test_classifiers_match_oracle_on_any_ids():
+    """The public tests keep the share-table results on inputs the census
+    never makes: non-linear systems, other sizes and repeated edges."""
+    rng = random.Random(13)
+    linear = grid_linear_systems(5)
+    for _ in range(3000):
+        if rng.random() < 0.5:  # a linear system, edges in any order
+            ids = tuple(rng.sample(rng.choice(linear), 5))
+        else:
+            ids = tuple(rng.randrange(27) for _ in range(rng.randint(0, 7)))
+        assert system_has_wicket(ids) == share_table_has_wicket(ids), ids
+        assert system_has_63(ids) == share_table_has_63(ids), ids
+        assert system_covers_grid(ids) == share_table_covers_grid(ids), ids
+    for ids in itertools.combinations(range(27), 3):
+        assert system_has_63(ids) == share_table_has_63(ids), ids
 
 
 def test_iter_classified_rows():
@@ -115,6 +149,8 @@ def test_minimal_free_example_is_valid():
     assert find_63(h) == []
     assert find_wickets(h) == []
     assert not system_has_63(ids)
+    free = (s for s in grid_linear_systems(4) if not share_table_has_63(s))
+    assert ids == next(free)
 
 
 def test_degree_audit():

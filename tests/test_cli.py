@@ -1,11 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from wicketlab import cli
+from wicketlab import census, cli
 from wicketlab.errors import ColoringBudgetError
 
 
@@ -40,6 +41,30 @@ def test_bounds_exponent_output():
     res = run_cli("bounds", "exponent", "--selected", "8", "--n", "2")
     assert res.returncode == 0
     assert res.stdout.strip() == "0.6309"
+
+
+def test_bounds_exponent_matches_vertex_count(capsys):
+    # Four places of log(selected) / log(3^(n+1)), the vertex count.
+    for selected in (1, 2, 8, 100, 3**7 + 1, 10**9):
+        for n in range(1, 13):
+            argv = ["bounds", "exponent", "--selected", str(selected)]
+            assert cli.main(argv + ["--n", str(n)]) == 0
+            value = math.log(selected) / math.log(3 ** (n + 1))
+            assert capsys.readouterr().out == f"{value:.4f}\n"
+
+
+def test_bounds_exponent_huge_n_is_fast():
+    # A child process, so a regression that builds 3^(n+1) is killed by
+    # the timeout instead of holding the test run.
+    for n in ("1000000000", "1" + "0" * 400):
+        res = subprocess.run(
+            [sys.executable, "-m", "wicketlab.cli", "bounds", "exponent",
+             "--selected", "5", "--n", n],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert res.returncode == 0 and res.stdout == "0.0000\n"
 
 
 def test_bounds_corollary_output():
@@ -360,6 +385,10 @@ def test_search_exhaustive_guard():
             "argument --k: must be at least 2, got 1",
         ),
         (["search", "modular", "--k", "1"], "argument --k: must be at least 2"),
+        (
+            ["bounds", "exponent", "--selected", "5", "--n", "-1"],
+            "argument --n: must be at least 0, got -1",
+        ),
     ],
     ids=[
         "search-n",
@@ -380,6 +409,7 @@ def test_search_exhaustive_guard():
         "color-eisenstein-domain",
         "build-modular-k-1",
         "search-modular-k-1",
+        "bounds-exponent-n",
     ],
 )
 def test_negative_resource_input_exits_1(argv, message, capsys):
@@ -436,6 +466,27 @@ def test_census_cli(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "e1,e2,e3,e4,e5,wicket,six_three"
     assert len(lines) == 1 + data["linear"]
+
+
+def test_census_csv_classifies_each_system_once(tmp_path, monkeypatch, capsys):
+    expected = [
+        f"{','.join(map(str, ids))},{int(w)},{int(s)}"
+        for ids, w, s in census.iter_classified(True)
+    ]
+    calls = []
+    find_wickets = census.find_wickets
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return find_wickets(*args, **kwargs)
+
+    monkeypatch.setattr(census, "find_wickets", counting)
+    csv = tmp_path / "rows.csv"
+    assert cli.main(["census", "--detectors", "--csv", str(csv)]) == 0
+    assert len(calls) == 3834
+    assert json.loads(capsys.readouterr().out)["linear"] == 3834
+    lines = csv.read_text().splitlines()
+    assert lines == ["e1,e2,e3,e4,e5,wicket,six_three"] + expected
 
 
 def test_closed_stdout_exits_quietly():

@@ -85,7 +85,7 @@ def test_cli_calls_the_value_set_before_main():
         import wicketlab.cli as cli
         calls = []
 
-        def stub(use_detectors=False):
+        def stub(use_detectors=False, csv=None):
             calls.append(use_detectors)
             return types.SimpleNamespace(
                 total_candidates=1, linear=2, wicket=3, six_three=4,
