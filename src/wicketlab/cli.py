@@ -168,20 +168,24 @@ def cmd_cap(args) -> int:
     if args.action == "product":
         cap = product_cap(load_cap_file(args.left), load_cap_file(args.right))
     else:  # lift
-        cap = lift_cap(load_cap_file(args.cap), args.dimension)
+        _bind("eqfree")
+        cap = load_cap_file(args.cap)
+        _check_domain(len(cap) * args.dimension, "--dimension", "coordinates")
+        cap = lift_cap(cap, args.dimension)
     if args.out:
         write_cap_file(cap, args.out)
     _emit({"dimension": cap.dimension, "size": len(cap)})
     return 0
 
 
-def _check_domain(size: int, flag: str) -> None:
-    """Refuse a domain of more than MAX_DOMAIN_SIZE candidates before it
-    is built."""
+def _check_domain(
+    size: int, flag: str, what: str = "domain candidates"
+) -> None:
+    """Refuse more than MAX_DOMAIN_SIZE domain candidates (or lifted
+    coordinates) before they are built."""
     if size > MAX_DOMAIN_SIZE:
         raise DomainTooLargeError(
-            f"{flag} asks for {size} domain candidates; the limit is "
-            f"{MAX_DOMAIN_SIZE}"
+            f"{flag} asks for {size} {what}; the limit is {MAX_DOMAIN_SIZE}"
         )
 
 

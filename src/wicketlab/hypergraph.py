@@ -18,6 +18,14 @@ from typing import NamedTuple, Optional
 Edge = tuple[int, int, int]
 
 
+class Incidence(NamedTuple):
+    """Edge-id bitmasks of one hypergraph (bit f stands for edge f)."""
+
+    through: tuple  # through[cls][v]: the edges through vertex v of cls
+    rows: tuple  # rows[e]: the edges meeting e in exactly one vertex
+    touch: tuple  # touch[e]: the edges meeting e at all, e itself included
+
+
 class TripartiteHypergraph:
     """Class sizes and edges; hypergraphs with equal ones are equal."""
 
@@ -25,19 +33,23 @@ class TripartiteHypergraph:
         self, class_sizes: tuple[int, int, int], edges: tuple[Edge, ...]
     ):
         sizes = tuple(class_sizes)
-        if len(sizes) != 3 or any(s < 0 for s in sizes):
+        if len(sizes) != 3 or min(sizes) < 0:
             raise ValueError(f"bad class sizes {sizes}")
-        edges = tuple(tuple(e) for e in edges)
+        sa, sb, sc = sizes
+        checked = []
         for e in edges:
+            e = tuple(e)
             if len(e) != 3:
                 raise ValueError(f"edge {e} is not a triple")
-            for cls in range(3):
-                if not 0 <= e[cls] < sizes[cls]:
-                    raise ValueError(
-                        f"edge {e}: index {e[cls]} out of range for class {cls}"
-                    )
+            a, b, c = e
+            if not (0 <= a < sa and 0 <= b < sb and 0 <= c < sc):
+                cls = next(k for k in range(3) if not 0 <= e[k] < sizes[k])
+                raise ValueError(
+                    f"edge {e}: index {e[cls]} out of range for class {cls}"
+                )
+            checked.append(e)
         self.class_sizes = sizes
-        self.edges = edges
+        self.edges = tuple(checked)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -58,14 +70,33 @@ class TripartiteHypergraph:
         return len(self.edges)
 
     @cached_property
-    def edge_masks(self) -> tuple:
-        """Each edge as an int with one bit per vertex: class 0 takes
-        bits 0..|A|-1, class 1 the next |B| bits, class 2 the rest."""
-        b = self.class_sizes[0]
-        c = b + self.class_sizes[1]
-        return tuple(
-            1 << x | 1 << (b + y) | 1 << (c + z) for x, y, z in self.edges
-        )
+    def incidence(self) -> Incidence:
+        """The edge-id masks both detectors read, built once.
+
+        One pass over the edges fills `through`. For an edge e = (a, b,
+        c), let x, y, z be the masks of the edges through a, b and c. An
+        edge lies in x ^ y ^ z when it meets e in one or three vertices,
+        and in x & y & z when it meets e in three (e itself, or a repeat
+        of e). So rows[e] leaves out the repeats of e and the edges
+        meeting e in two vertices, and non-linear inputs need no special
+        case.
+        """
+        ta: dict = {}
+        tb: dict = {}
+        tc: dict = {}
+        bit = 1
+        for a, b, c in self.edges:
+            ta[a] = ta.get(a, 0) | bit
+            tb[b] = tb.get(b, 0) | bit
+            tc[c] = tc.get(c, 0) | bit
+            bit <<= 1
+        rows = []
+        touch = []
+        for a, b, c in self.edges:
+            x, y, z = ta[a], tb[b], tc[c]
+            rows.append((x ^ y ^ z) & ~(x & y & z))
+            touch.append(x | y | z)
+        return Incidence((ta, tb, tc), tuple(rows), tuple(touch))
 
 
 class WicketWitness(NamedTuple):
@@ -105,13 +136,12 @@ def find_wickets(
     outside both). Any three pairwise-disjoint rows close a wicket;
     rows being disjoint forces all nine vertices distinct.
 
-    Vertex -> edge incidence lists give every edge its row set, the
-    edges meeting it in exactly one vertex, kept as a bitmask over edge
-    ids. An edge meeting it in two or more vertices is left out, so
-    non-linear inputs are fine: their extra overlaps simply disqualify
-    the pairs involved. Only edges meeting a row of i can share a row
-    with i, so the columns j are taken from that two-hop neighbourhood,
-    and the rows of the pair are rows[i] & rows[j].
+    Everything runs on `h.incidence`. The rows of a pair are
+    rows[i] & rows[j]; an edge meeting i in two or more vertices is in
+    neither, so non-linear inputs simply disqualify the pairs involved.
+    Only edges meeting a row of i can share a row with i, so the
+    columns j are that two-hop neighbourhood minus touch[i], and rows
+    p, q are disjoint when bit q of touch[p] is clear.
 
     The list is ordered by (i, j), then by row triple; `color_edges`
     resamples the lowest-indexed violated wicket, so this order shapes
@@ -122,35 +152,26 @@ def find_wickets(
     """
     if limit is not None and limit <= 0:
         return []
-    masks = h.edge_masks
-    verts = [_ids(edge) for edge in masks]
-    at: dict = {}  # vertex bit position -> ids of the edges through it
-    for e, vs in enumerate(verts):
-        for v in vs:
-            at.setdefault(v, []).append(e)
-    rows = []  # rows[e]: the edges meeting e in exactly one vertex, as bits
-    for edge, vs in zip(masks, verts):
-        bits = 0
-        for v in vs:
-            for f in at[v]:
-                if (edge & masks[f]).bit_count() == 1:
-                    bits |= 1 << f
-        rows.append(bits)
+    incidence = h.incidence
+    rows = incidence.rows
+    touch = incidence.touch
     found: list = []
-    for i, mi in enumerate(masks):
-        ri = rows[i]
+    for i, ri in enumerate(rows):
         reach = 0
-        for f in _ids(ri):
+        bits = ri
+        f = -1
+        while bits:
+            step = (bits & -bits).bit_length()
+            bits >>= step
+            f += step
             reach |= rows[f]
         # columns: edges j > i in the two-hop neighbourhood, disjoint from i
-        reach >>= i + 1
+        reach = (reach & ~touch[i]) >> (i + 1)
         j = i
         while reach:
             step = (reach & -reach).bit_length()
             reach >>= step
             j += step
-            if masks[j] & mi:
-                continue
             shared = ri & rows[j]
             if shared.bit_count() < 3:
                 continue
@@ -158,15 +179,15 @@ def find_wickets(
             nc = len(candidates)
             for p in range(nc):
                 ep = candidates[p]
-                mp = masks[ep]
+                tp = touch[ep]
                 for q in range(p + 1, nc):
                     eq = candidates[q]
-                    mq = masks[eq]
-                    if mp & mq:
+                    if tp >> eq & 1:
                         continue
+                    tpq = tp | touch[eq]
                     for r in range(q + 1, nc):
                         er = candidates[r]
-                        if (mp | mq) & masks[er]:
+                        if tpq >> er & 1:
                             continue
                         found.append(
                             WicketWitness(rows=(ep, eq, er), columns=(i, j))
@@ -182,33 +203,42 @@ def find_63(
     """All (6,3) triangles: edges pairwise sharing exactly one vertex,
     with the three shared vertices distinct.
 
-    Each triangle is reported once, through its two lowest edge
-    indices. Sunflowers (three edges through one vertex) are excluded
-    because the shared vertices must be pairwise distinct. Pairs that
-    overlap in two or more vertices are simply never eligible, so the
-    input does not have to be linear.
+    Each triangle is reported once, as i < j < k. For j in rows[i],
+    edges i and j share one vertex x, in the class c where they agree.
+    The third edges are rows[i] & rows[j] minus the edges through x:
+    that leaves out sunflowers (three edges through x), and a k meeting
+    i and j in one same vertex would meet them in x. Pairs that overlap
+    in two or more vertices are never in rows, so the input does not
+    have to be linear.
     """
     if limit is not None and limit <= 0:
         return []
-    masks = h.edge_masks
-    m = len(masks)
+    incidence = h.incidence
+    rows = incidence.rows
+    through = incidence.through
+    edges = h.edges
     found: list = []
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            x = mi & masks[j]
-            if x.bit_count() != 1:
-                continue
-            for k in range(j + 1, m):
-                mk = masks[k]
-                y = mk & mi
-                if y.bit_count() != 1:
-                    continue
-                z = mk & masks[j]
-                if z.bit_count() != 1:
-                    continue
-                if y == x or z == x:
-                    continue
+    for i, ri in enumerate(rows):
+        a, b, c = edges[i]
+        js = ri >> (i + 1)
+        j = i
+        while js:
+            step = (js & -js).bit_length()
+            js >>= step
+            j += step
+            ej = edges[j]
+            if ej[0] == a:
+                x = through[0][a]
+            elif ej[1] == b:
+                x = through[1][b]
+            else:
+                x = through[2][c]
+            ks = (ri & rows[j] & ~x) >> (j + 1)
+            k = j
+            while ks:
+                step = (ks & -ks).bit_length()
+                ks >>= step
+                k += step
                 found.append(SixThreeWitness(edges=(i, j, k)))
                 if limit is not None and len(found) >= limit:
                     return found

@@ -10,7 +10,11 @@ which other tests check against raw scans.
 
 from itertools import combinations
 
-from wicketlab.hypergraph import TripartiteHypergraph, WicketWitness
+from wicketlab.hypergraph import (
+    SixThreeWitness,
+    TripartiteHypergraph,
+    WicketWitness,
+)
 
 
 # ---------------------------------------------------------------- GF(3)
@@ -369,6 +373,23 @@ def six_threes_bruteforce(h: TripartiteHypergraph):
     return out
 
 
+def six_threes_in_order(h: TripartiteHypergraph, limit=None):
+    """Every (6,3) as a SixThreeWitness, in the library's list order:
+    the 3-subsets of edge ids in lexicographic order that pass
+    is_63_triple. The reference for find_63's order and its `limit`
+    prefixes, while six_threes_bruteforce is the reference for the set.
+    """
+    if limit is not None and limit <= 0:
+        return []
+    found = []
+    for ids in combinations(range(h.edge_count), 3):
+        if is_63_triple(h, ids):
+            found.append(SixThreeWitness(edges=ids))
+            if limit is not None and len(found) >= limit:
+                return found
+    return found
+
+
 def random_linear_hypergraph(rng, sizes=(4, 4, 4), edges=10, tries=400):
     """Seeded rejection sampler for linear tripartite instances."""
     chosen = []
@@ -401,6 +422,16 @@ def random_hypergraph(rng, sizes=(4, 4, 4), edges=10):
             )
         )
     return TripartiteHypergraph(tuple(sizes), tuple(sorted(seen)))
+
+
+def with_repeated_edges(h: TripartiteHypergraph, rng, copies=3):
+    """h plus `copies` repeats of randomly chosen edges, each inserted at
+    a random position. TripartiteHypergraph accepts repeated edges, and
+    the samplers above never produce them."""
+    edges = list(h.edges)
+    for _ in range(copies):
+        edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+    return TripartiteHypergraph(h.class_sizes, tuple(edges))
 
 
 def relabeled(h: TripartiteHypergraph, rng):

@@ -389,6 +389,13 @@ def test_search_exhaustive_guard():
             ["bounds", "exponent", "--selected", "5", "--n", "-1"],
             "argument --n: must be at least 0, got -1",
         ),
+        (
+            [
+                "cap", "lift", "--cap", "{file}", "--dimension", "250001",
+                "--out", "{dir}/lifted.txt",
+            ],
+            "--dimension asks for 1000004 coordinates; the limit is 1000000",
+        ),
     ],
     ids=[
         "search-n",
@@ -410,14 +417,23 @@ def test_search_exhaustive_guard():
         "build-modular-k-1",
         "search-modular-k-1",
         "bounds-exponent-n",
+        "cap-lift-dimension",
     ],
 )
-def test_negative_resource_input_exits_1(argv, message, capsys):
+def test_negative_resource_input_exits_1(
+    argv, message, cap2, tmp_path, monkeypatch, capsys
+):
+    def work(*args, **kwargs):
+        raise AssertionError("the lift started before its size was checked")
+
+    monkeypatch.setattr(cli, "lift_cap", work)
+    argv = [arg.format(file=cap2, dir=tmp_path) for arg in argv]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert f"error: {message}" in err
     assert "Traceback" not in err
+    assert [str(p) for p in tmp_path.iterdir()] == [cap2]  # no output file
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -17,8 +18,10 @@ from oracles import (
     random_hypergraph,
     random_linear_hypergraph,
     six_threes_bruteforce,
+    six_threes_in_order,
     wickets_bruteforce,
     wickets_column_scan,
+    with_repeated_edges,
 )
 
 GRID_WICKET = TripartiteHypergraph(
@@ -38,11 +41,60 @@ TRIANGLE = TripartiteHypergraph(
 )
 
 
+BAD_INPUTS = [
+    ((2, 2), (), "bad class sizes (2, 2)"),
+    ((2, 2, 2, 2), (), "bad class sizes (2, 2, 2, 2)"),
+    ((2, -1, 2), (), "bad class sizes (2, -1, 2)"),
+    ((2, 2, 2), ((0, 0, 0), (0, 1)), "edge (0, 1) is not a triple"),
+    ((2, 2, 2), ([0, 1, 1, 0],), "edge (0, 1, 1, 0) is not a triple"),
+    (
+        (2, 2, 2), ((2, 0, 0),),
+        "edge (2, 0, 0): index 2 out of range for class 0",
+    ),
+    (
+        (2, 3, 2), ((0, 3, 0),),
+        "edge (0, 3, 0): index 3 out of range for class 1",
+    ),
+    (
+        (2, 2, 2), ((0, 0, 2),),
+        "edge (0, 0, 2): index 2 out of range for class 2",
+    ),
+    (
+        (2, 2, 2), ((-1, 0, 0),),
+        "edge (-1, 0, 0): index -1 out of range for class 0",
+    ),
+    (
+        (2, 2, 2), ((0, -1, 0),),
+        "edge (0, -1, 0): index -1 out of range for class 1",
+    ),
+    (
+        (2, 2, 2), ((0, 0, -2),),
+        "edge (0, 0, -2): index -2 out of range for class 2",
+    ),
+    # the first bad edge, and in it the first bad class, is reported
+    (
+        (2, 2, 2), ((1, 1, 1), (0, 5, 5), (5, 0, 0)),
+        "edge (0, 5, 5): index 5 out of range for class 1",
+    ),
+    (
+        (0, 2, 2), ((0, 0, 0),),
+        "edge (0, 0, 0): index 0 out of range for class 0",
+    ),
+]
+
+
 def test_constructor_validates_ranges():
-    with pytest.raises(ValueError):
-        TripartiteHypergraph((2, 2, 2), ((0, 0, 2),))
-    with pytest.raises(ValueError):
-        TripartiteHypergraph((2, 2), ((0, 0, 0),))
+    for sizes, edges, message in BAD_INPUTS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TripartiteHypergraph(sizes, edges)
+
+
+def test_constructor_takes_any_sequences():
+    edges = iter([[1, 0, 2], (0, 0, 0), [1, 0, 2]])
+    h = TripartiteHypergraph([2, 1, 3], edges)
+    assert h.class_sizes == (2, 1, 3)
+    assert h.edges == ((1, 0, 2), (0, 0, 0), (1, 0, 2))
+    assert TripartiteHypergraph((0, 0, 0), ()).edges == ()
 
 
 def test_vertex_and_edge_counts():
@@ -116,6 +168,18 @@ def _differential_inputs():
         disc = region_points(bound)
         for size in (3, 4, 5):
             yield build_eisenstein(rng.sample(disc, size), bound).hypergraph
+    yield from _repeated_edge_inputs()
+
+
+def _repeated_edge_inputs():
+    rng = random.Random(17)
+    for _ in range(15):
+        h = random_linear_hypergraph(rng, sizes=(5, 5, 5), edges=16)
+        yield with_repeated_edges(h, rng, copies=4)
+    for _ in range(15):
+        h = random_hypergraph(rng, sizes=(4, 4, 4), edges=14)
+        yield with_repeated_edges(h, rng, copies=4)
+    yield with_repeated_edges(GRID_WICKET, rng, copies=5)
 
 
 def test_find_wickets_matches_column_scan_in_order():
@@ -129,6 +193,39 @@ def test_find_wickets_matches_column_scan_in_order():
             assert all(is_wicket_quintuple(h, w.edge_ids) for w in found)
         total += len(find_wickets(h))
     assert total > 0
+
+
+def test_find_63_matches_order_oracle():
+    total = 0
+    for h in _differential_inputs():
+        for limit in (None, 1, 2):
+            assert find_63(h, limit) == six_threes_in_order(h, limit)
+        total += len(find_63(h))
+    assert total > 0
+
+
+def test_repeated_edges_are_separate_edges():
+    # A repeat meets its twin in three vertices, so the two never share
+    # a wicket or a (6,3), and each copy closes its own.
+    h = TripartiteHypergraph((3, 3, 3), GRID_WICKET.edges + ((0, 0, 0),))
+    assert [w.edge_ids for w in find_wickets(h)] == [
+        (0, 1, 2, 3, 4), (1, 2, 3, 4, 5)
+    ]
+    t = TripartiteHypergraph((2, 2, 2), TRIANGLE.edges * 2)
+    assert [w.edges for w in find_63(t)] == [
+        (0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 4, 5),
+        (1, 2, 3), (1, 3, 5), (2, 3, 4), (3, 4, 5),
+    ]
+    # the differential inputs with repeats really repeat edges, and
+    # their repeats take part in wickets
+    inputs = list(_repeated_edge_inputs())
+    assert all(len(set(h.edges)) < h.edge_count for h in inputs)
+    assert any(
+        h.edges.count(h.edges[e]) > 1
+        for h in inputs
+        for w in find_wickets(h)
+        for e in w.edge_ids
+    )
 
 
 def test_write_parse_roundtrip():

@@ -116,7 +116,7 @@ def test_record_semantics():
     h = TripartiteHypergraph((2, 2, 2), ((0, 1, 0), (1, 0, 1)))
     twin = TripartiteHypergraph([2, 2, 2], [[0, 1, 0], [1, 0, 1]])
     assert h == twin and hash(h) == hash(twin)
-    assert h.edge_masks is h.edge_masks  # cached_property: computed once
+    assert h.incidence is h.incidence  # cached_property: computed once
     cap = CapSet(2, frozenset({(0, 0), (0, 1), (1, 0)}), True)
     assert cap == CapSet(2, frozenset(cap.elements), True)
     assert hash(cap) == hash(CapSet(2, frozenset(cap.elements), True))
