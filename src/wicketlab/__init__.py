@@ -11,19 +11,23 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Where each public name lives. A module is imported on the first access
-# to one of its names (PEP 562), so `import wicketlab` loads none of them.
+# Where each public name lives: the one record of it, from which
+# `__all__` and the CLI's lazily bound names (`wicketlab.cli`) both come.
+# A module is imported on the first access to one of its names (PEP 562),
+# so `import wicketlab` loads none of them.
 _MODULES = {
     "CAP_BOUND_BASELINE": "bounds",
     "BoundsReport": "bounds",
     "asymptotic_exponent": "bounds",
     "cap_bound_base": "bounds",
     "concrete_exponent": "bounds",
+    "dimension_exponent": "bounds",
     "gowers_long_constant": "bounds",
     "improves_cap_bound": "bounds",
     "selection_report": "bounds",
     "CensusReport": "census",
     "grid_system": "census",
+    "iter_classified": "census",
     "iter_linear_five_sets": "census",
     "minimal_free_example": "census",
     "run_census": "census",
@@ -47,9 +51,12 @@ _MODULES = {
     "OMEGA": "eisenstein",
     "coordinate_norm": "eisenstein",
     "region_points": "eisenstein",
+    "region_scan_size": "eisenstein",
     "ring_norm": "eisenstein",
+    "DEFAULT_EXHAUSTIVE_LIMIT": "eqfree",
     "EquationSpec": "eqfree",
     "SearchResult": "eqfree",
+    "TRIANGLE_EXHAUSTIVE_LIMIT": "eqfree",
     "equilateral_equation": "eqfree",
     "greedy_free_set": "eqfree",
     "has_solution": "eqfree",
@@ -70,6 +77,7 @@ _MODULES = {
     "DimensionMismatchError": "errors",
     "DomainTooLargeError": "errors",
     "IncompleteWicketListError": "errors",
+    "MAX_DOMAIN_SIZE": "errors",
     "SetFileError": "errors",
     "WicketlabError": "errors",
     "CapSet": "gf3",
@@ -99,6 +107,7 @@ _MODULES = {
     "find_wickets": "hypergraph",
     "write_hypergraph_text": "hypergraph",
 }
+__all__ = list(_MODULES)
 
 
 def __getattr__(name: str):
@@ -115,91 +124,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list:
     return sorted({*globals(), *__all__})
-
-
-__all__ = [
-    "CAP_BOUND_BASELINE",
-    "BoundsReport",
-    "Build",
-    "CapFileError",
-    "CapSet",
-    "CapVerificationError",
-    "CensusReport",
-    "ColorClassSelection",
-    "ColoringBudgetError",
-    "DimensionMismatchError",
-    "DomainTooLargeError",
-    "EdgeColoring",
-    "EisensteinPoint",
-    "EquationSpec",
-    "IncompleteWicketListError",
-    "OMEGA",
-    "PlaneWickets",
-    "SearchResult",
-    "SetFileError",
-    "SixThreeWitness",
-    "TripartiteHypergraph",
-    "WicketWitness",
-    "WicketlabError",
-    "all_vectors",
-    "asymptotic_exponent",
-    "binary_cap",
-    "build_eisenstein",
-    "build_f3",
-    "build_modular",
-    "build_wickets",
-    "cap_bound_base",
-    "color_edges",
-    "colors_needed",
-    "concrete_exponent",
-    "coordinate_norm",
-    "decode",
-    "encode",
-    "equilateral_equation",
-    "f3_add",
-    "f3_neg",
-    "f3_scale",
-    "f3_sub",
-    "find_63",
-    "find_ap3",
-    "find_wickets",
-    "gowers_long_constant",
-    "greedy_free_set",
-    "grid_system",
-    "has_solution",
-    "improves_cap_bound",
-    "is_ap3_free",
-    "is_free",
-    "iter_linear_five_sets",
-    "iter_nontrivial_solutions",
-    "lift_cap",
-    "load_cap_file",
-    "load_eisenstein_set_file",
-    "load_int_set_file",
-    "max_cap_exact",
-    "max_free_exhaustive",
-    "max_free_heuristic",
-    "max_triangle_free",
-    "minimal_free_example",
-    "modular_equation",
-    "parse_cap_text",
-    "parse_eisenstein_set_text",
-    "parse_int_set_text",
-    "plane_wicket_counts",
-    "product_cap",
-    "region_points",
-    "ring_norm",
-    "run_census",
-    "ruzsa_equation",
-    "selection_report",
-    "string_to_vec",
-    "system_has_63",
-    "system_has_wicket",
-    "vec_to_string",
-    "verify_cap",
-    "wicket_dependency_degree",
-    "wicket_system",
-    "wicket_witness",
-    "write_cap_file",
-    "write_hypergraph_text",
-]

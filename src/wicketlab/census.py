@@ -23,7 +23,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .hypergraph import TripartiteHypergraph, find_63, find_wickets
+from .hypergraph import TripartiteHypergraph, find_63, find_wickets, set_bits
 
 GRID_EDGES = tuple(
     (a, b, c) for a in range(3) for b in range(3) for c in range(3)
@@ -32,14 +32,6 @@ GRID_EDGES = tuple(
 # Vertex `value` of class `cls` is bit 3*cls + value.
 VERTEX_MASK = tuple(1 << a | 1 << 3 + b | 1 << 6 + c for a, b, c in GRID_EDGES)
 ALL_VERTICES = (1 << 9) - 1
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bit positions of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _edges_meeting(u: int, shared: int) -> int:
@@ -67,7 +59,7 @@ def _six_three_closers() -> tuple:
     through = [_edges_meeting(1 << x, 1) for x in range(9)]
     closers = [[0] * 27 for _ in range(27)]
     for a in range(27):
-        for b in _bits(SINGLE[a]):
+        for b in set_bits(SINGLE[a]):
             x = (VERTEX_MASK[a] & VERTEX_MASK[b]).bit_length() - 1
             closers[a][b] = SINGLE[a] & SINGLE[b] & ~through[x]
     return tuple(tuple(row) for row in closers)
@@ -78,8 +70,8 @@ def _wicket_masks() -> frozenset:
     pairwise disjoint rows, each meeting both columns once."""
     masks = set()
     for i in range(27):
-        for j in _bits(DISJOINT[i] >> i + 1 << i + 1):
-            rows = _bits(SINGLE[i] & SINGLE[j])
+        for j in set_bits(DISJOINT[i] >> i + 1 << i + 1):
+            rows = set_bits(SINGLE[i] & SINGLE[j])
             for r, s, t in itertools.combinations(rows, 3):
                 disjoint = DISJOINT[r] >> s & 1 and DISJOINT[r] >> t & 1
                 if disjoint and DISJOINT[s] >> t & 1:
@@ -112,24 +104,24 @@ def _classified(use_detectors: bool) -> Iterator[tuple]:
     wickets = WICKET_MASKS
     for e1 in range(27):
         k1 = closers[e1]
-        for e2 in _bits(after[e1]):
+        for e2 in set_bits(after[e1]):
             k2 = closers[e2]
             cand3 = after[e1] & after[e2]
             closes2 = k1[e2]
             union2 = vmask[e1] | vmask[e2]
-            for e3 in _bits(cand3):
+            for e3 in set_bits(cand3):
                 k3 = closers[e3]
                 cand4 = cand3 & after[e3]
                 has63_3 = closes2 >> e3 & 1
                 closes3 = closes2 | k1[e3] | k2[e3]
                 union3 = union2 | vmask[e3]
-                for e4 in _bits(cand4):
+                for e4 in set_bits(cand4):
                     cand5 = cand4 & after[e4]
                     has63_4 = has63_3 | closes3 >> e4 & 1
                     closes4 = closes3 | k1[e4] | k2[e4] | k3[e4]
                     union4 = union3 | vmask[e4]
                     edges4 = 1 << e1 | 1 << e2 | 1 << e3 | 1 << e4
-                    for e5 in _bits(cand5):
+                    for e5 in set_bits(cand5):
                         ids = (e1, e2, e3, e4, e5)
                         covers = (union4 | vmask[e5]) == ALL_VERTICES
                         if use_detectors:
@@ -239,10 +231,10 @@ def minimal_free_example() -> Optional[tuple]:
     edges, so none of these can contain one)."""
     after = LINEAR_AFTER
     for e1 in range(27):
-        for e2 in _bits(after[e1]):
+        for e2 in set_bits(after[e1]):
             cand3 = after[e1] & after[e2]
-            for e3 in _bits(cand3):
-                for e4 in _bits(cand3 & after[e3]):
+            for e3 in set_bits(cand3):
+                for e4 in set_bits(cand3 & after[e3]):
                     if not system_has_63((e1, e2, e3, e4)):
                         return e1, e2, e3, e4
     return None

@@ -17,10 +17,11 @@ import json
 import os
 import sys
 from contextlib import ExitStack
-from importlib import import_module
 from typing import Optional
 
+from . import _MODULES, __getattr__ as _package_getattr
 from .errors import (
+    MAX_DOMAIN_SIZE,
     CapFileError,
     CapVerificationError,
     ColoringBudgetError,
@@ -29,73 +30,23 @@ from .errors import (
     WicketlabError,
 )
 
-# The module of each library name the commands call, and of
-# `iter_classified`, which no command calls but perfbench/tracing.py
-# wraps as `cli.iter_classified`. A command binds
-# the names of the modules it runs (`_bind`) as it starts, so no command
-# imports a layer it does not use. `__getattr__` binds a name on
-# attribute access, so `cli.<name>` can be read and patched before
-# `main` runs, and `main` calls whatever value was set.
-_LAZY = {
-    "CAP_BOUND_BASELINE": "bounds",
-    "asymptotic_exponent": "bounds",
-    "cap_bound_base": "bounds",
-    "dimension_exponent": "bounds",
-    "gowers_long_constant": "bounds",
-    "improves_cap_bound": "bounds",
-    "selection_report": "bounds",
-    "iter_classified": "census",
-    "minimal_free_example": "census",
-    "run_census": "census",
-    "color_edges": "coloring",
-    "colors_needed": "coloring",
-    "build_eisenstein": "construction",
-    "build_f3": "construction",
-    "build_modular": "construction",
-    "build_wickets": "construction",
-    "plane_wicket_counts": "construction",
-    "wicket_dependency_degree": "construction",
-    "EisensteinPoint": "eisenstein",
-    "region_points": "eisenstein",
-    "region_scan_size": "eisenstein",
-    "DEFAULT_EXHAUSTIVE_LIMIT": "eqfree",
-    "MAX_DOMAIN_SIZE": "eqfree",
-    "TRIANGLE_EXHAUSTIVE_LIMIT": "eqfree",
-    "equilateral_equation": "eqfree",
-    "load_eisenstein_set_file": "eqfree",
-    "load_int_set_file": "eqfree",
-    "max_free_exhaustive": "eqfree",
-    "max_free_heuristic": "eqfree",
-    "max_triangle_free": "eqfree",
-    "modular_equation": "eqfree",
-    "ruzsa_equation": "eqfree",
-    "lift_cap": "gf3",
-    "load_cap_file": "gf3",
-    "max_cap_exact": "gf3",
-    "product_cap": "gf3",
-    "vec_to_string": "gf3",
-    "write_cap_file": "gf3",
-    "write_hypergraph_text": "hypergraph",
-}
-
 
 def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(import_module(f".{module}", __package__), name)
-    globals()[name] = value
+    """Bind a name of the package table on first access, so `cli.<name>`
+    can be read and patched before `main` runs, and `main` calls
+    whatever value was set."""
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = _package_getattr(name)
     return value
 
 
 def _bind(*modules: str) -> None:
-    """Bind the names of `modules` that are not bound yet; a name set
-    on the module before stays as it was set."""
+    """Bind the table's names of `modules` that are not bound yet, so a
+    command imports only the layers it runs; a name set on the module
+    before stays as it was set."""
     bound = globals()
-    for name, module in _LAZY.items():
+    for name, module in _MODULES.items():
         if module in modules and name not in bound:
             __getattr__(name)
 
@@ -166,9 +117,11 @@ def cmd_cap(args) -> int:
         _emit(_cap_json(cap))
         return 0
     if args.action == "product":
-        cap = product_cap(load_cap_file(args.left), load_cap_file(args.right))
+        left, right = load_cap_file(args.left), load_cap_file(args.right)
+        size = len(left) * len(right) * (left.dimension + right.dimension)
+        _check_domain(size, "cap product", "coordinates")
+        cap = product_cap(left, right)
     else:  # lift
-        _bind("eqfree")
         cap = load_cap_file(args.cap)
         _check_domain(len(cap) * args.dimension, "--dimension", "coordinates")
         cap = lift_cap(cap, args.dimension)
@@ -181,7 +134,7 @@ def cmd_cap(args) -> int:
 def _check_domain(
     size: int, flag: str, what: str = "domain candidates"
 ) -> None:
-    """Refuse more than MAX_DOMAIN_SIZE domain candidates (or lifted
+    """Refuse more than MAX_DOMAIN_SIZE domain candidates (or cap
     coordinates) before they are built."""
     if size > MAX_DOMAIN_SIZE:
         raise DomainTooLargeError(
@@ -194,6 +147,7 @@ def _make_build(args):
     if args.family == "f3":
         _bind("gf3")
         cap = load_cap_file(args.cap)
+        _check_domain(3**cap.dimension, "--cap")
         return build_f3(cap), cap.dimension, len(cap)
     _bind("eisenstein", "eqfree")
     if args.family == "modular":

@@ -33,11 +33,6 @@ from .errors import DomainTooLargeError, SetFileError
 
 DEFAULT_EXHAUSTIVE_LIMIT = 30
 TRIANGLE_EXHAUSTIVE_LIMIT = 22
-# The most candidates a CLI domain may list: 1..n for `search ruzsa`,
-# the k^2 - k + 1 residues of a modular search or build, and the lattice
-# points region_points scans for a disc. Larger inputs are refused
-# before the domain is built.
-MAX_DOMAIN_SIZE = 1_000_000
 
 
 class EquationSpec:

@@ -43,8 +43,16 @@ class SetFileError(_ParseError):
     """A set file (integers or lattice pairs) could not be parsed."""
 
 
+# The most candidates a CLI domain may list: 1..n for `search ruzsa`,
+# the k^2 - k + 1 residues of a modular search or build, the lattice
+# points region_points scans for a disc and the 3^n vectors of a GF(3)
+# build; also the most coordinates `cap lift` or `cap product` may
+# write. Larger inputs are refused before anything is built.
+MAX_DOMAIN_SIZE = 1_000_000
+
+
 class DomainTooLargeError(WicketlabError, ValueError):
-    """Exhaustive search was asked for on a domain beyond its size guard."""
+    """A domain beyond its size guard was asked for."""
 
 
 class ColoringBudgetError(WicketlabError):

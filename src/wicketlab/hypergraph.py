@@ -116,13 +116,13 @@ class SixThreeWitness(NamedTuple):
     edges: tuple[int, int, int]
 
 
-def _ids(bits: int) -> list:
-    """Positions of the set bits of `bits`, ascending."""
+def set_bits(mask: int) -> list:
+    """The set bit positions of `mask`, ascending."""
     out = []
-    while bits:
-        low = bits & -bits
+    while mask:
+        low = mask & -mask
         out.append(low.bit_length() - 1)
-        bits ^= low
+        mask ^= low
     return out
 
 
@@ -175,7 +175,7 @@ def find_wickets(
             shared = ri & rows[j]
             if shared.bit_count() < 3:
                 continue
-            candidates = _ids(shared)
+            candidates = set_bits(shared)
             nc = len(candidates)
             for p in range(nc):
                 ep = candidates[p]

@@ -27,6 +27,19 @@ def cap2(tmp_path):
     return str(path)
 
 
+def _binary_cap_text(n):
+    return "".join(format(i, "b").zfill(n) + "\n" for i in range(2**n))
+
+
+@pytest.fixture(scope="module")
+def large_caps(tmp_path_factory):
+    """A cap in dimension 13 (3^13 vectors) and {0,1}^8."""
+    root = tmp_path_factory.mktemp("large_caps")
+    (root / "cap13.txt").write_text("0" * 13 + "\n")
+    (root / "cap8.txt").write_text(_binary_cap_text(8))
+    return {"cap13": str(root / "cap13.txt"), "cap8": str(root / "cap8.txt")}
+
+
 @pytest.fixture
 def set7(tmp_path):
     path = tmp_path / "s7.txt"
@@ -396,6 +409,21 @@ def test_search_exhaustive_guard():
             ],
             "--dimension asks for 1000004 coordinates; the limit is 1000000",
         ),
+        (
+            ["build", "f3", "--cap", "{cap13}"],
+            "--cap asks for 1594323 domain candidates; the limit is 1000000",
+        ),
+        (
+            ["color", "f3", "--cap", "{cap13}"],
+            "--cap asks for 1594323 domain candidates; the limit is 1000000",
+        ),
+        (
+            [
+                "cap", "product", "--left", "{cap8}", "--right", "{cap8}",
+                "--out", "{dir}/product.txt",
+            ],
+            "cap product asks for 1048576 coordinates; the limit is 1000000",
+        ),
     ],
     ids=[
         "search-n",
@@ -418,22 +446,44 @@ def test_search_exhaustive_guard():
         "search-modular-k-1",
         "bounds-exponent-n",
         "cap-lift-dimension",
+        "build-f3-dimension",
+        "color-f3-dimension",
+        "cap-product-size",
     ],
 )
 def test_negative_resource_input_exits_1(
-    argv, message, cap2, tmp_path, monkeypatch, capsys
+    argv, message, cap2, large_caps, tmp_path, monkeypatch, capsys
 ):
     def work(*args, **kwargs):
-        raise AssertionError("the lift started before its size was checked")
+        raise AssertionError("work started before its size was checked")
 
-    monkeypatch.setattr(cli, "lift_cap", work)
-    argv = [arg.format(file=cap2, dir=tmp_path) for arg in argv]
+    for name in ("lift_cap", "product_cap", "build_f3"):
+        monkeypatch.setattr(cli, name, work)
+    argv = [arg.format(file=cap2, dir=tmp_path, **large_caps) for arg in argv]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert f"error: {message}" in err
     assert "Traceback" not in err
     assert [str(p) for p in tmp_path.iterdir()] == [cap2]  # no output file
+
+
+def test_size_limits_admit_inputs_below_them(tmp_path, monkeypatch, capsys):
+    # Two {0,1}^7 caps make a product of 229376 coordinates, and a cap in
+    # dimension 12 builds over 3^12 = 531441 vectors: both are admitted.
+    cap7, cap12 = tmp_path / "cap7.txt", tmp_path / "cap12.txt"
+    cap7.write_text(_binary_cap_text(7))
+    cap12.write_text("0" * 12 + "\n")
+    argv = ["cap", "product", "--left", str(cap7), "--right", str(cap7)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"dimension": 14, "size": 16384}
+
+    def reached(cap):
+        raise ValueError(f"build_f3 reached in dimension {cap.dimension}")
+
+    monkeypatch.setattr(cli, "build_f3", reached)
+    assert cli.main(["build", "f3", "--cap", str(cap12)]) == 1
+    assert "build_f3 reached in dimension 12" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -51,19 +52,22 @@ def _fresh(code: str) -> dict:
     return json.loads(res.stdout.splitlines()[-1])
 
 
-def test_commands_import_only_their_layers():
+def test_commands_import_only_their_layers(tmp_path):
+    cap = tmp_path / "cap.txt"
+    cap.write_text("00\n01\n10\n11\n")
     seen = _fresh(
-        """
+        f"""
         import json, sys
         before = set(sys.modules)
         import wicketlab.cli as cli
         startup = sorted(set(sys.modules) - before)
-        layers = {}
-        for argv in (["search", "ruzsa", "--n", "5"], ["census"]):
+        layers = {{}}
+        for argv in (["build", "f3", "--cap", {str(cap)!r}],
+                     ["search", "ruzsa", "--n", "5"], ["census"]):
             loaded = set(sys.modules)
             assert cli.main(argv) == 0
             layers[argv[0]] = sorted(set(sys.modules) - loaded)
-        print(json.dumps({"startup": startup, **layers}))
+        print(json.dumps({{"startup": startup, **layers}}))
         """
     )
     assert "dataclasses" not in seen["startup"]
@@ -76,12 +80,16 @@ def test_commands_import_only_their_layers():
         assert module not in seen["search"]
     assert "wicketlab.census" in seen["census"]
     assert "wicketlab.eqfree" not in seen["census"]
+    assert "wicketlab.construction" in seen["build"]
+    for module in ("eqfree", "eisenstein", "census"):
+        assert f"wicketlab.{module}" not in seen["build"]
 
 
 def test_cli_calls_the_value_set_before_main():
     seen = _fresh(
         """
         import contextlib, io, json, types
+        import wicketlab
         import wicketlab.cli as cli
         calls = []
 
@@ -96,7 +104,7 @@ def test_cli_calls_the_value_set_before_main():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(["census"])
-        missing = [name for name in cli._LAZY if not hasattr(cli, name)]
+        missing = [name for name in wicketlab._MODULES if not hasattr(cli, name)]
         print(json.dumps({"code": code, "calls": calls, "missing": missing,
                           "same": cli.run_census is stub,
                           "out": json.loads(out.getvalue())}))
@@ -105,6 +113,22 @@ def test_cli_calls_the_value_set_before_main():
     assert seen["code"] == 0 and seen["calls"] == [False]
     assert seen["same"] and seen["missing"] == []
     assert seen["out"]["linear"] == 2 and seen["out"]["both"] == 5
+
+
+def test_cli_defines_no_name_of_the_package_table():
+    # `cli._bind` skips a name that is already bound, so a table name
+    # that cli defined for itself would shadow the package's value.
+    from wicketlab import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    own = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Assign):
+            own.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert {"main", "build_parser", "cmd_build", "_bind"} <= own
+    assert own.isdisjoint(wicketlab._MODULES)
 
 
 def test_record_semantics():
