@@ -36,13 +36,15 @@ _MODULES = {
     "ColorClassSelection": "coloring",
     "EdgeColoring": "coloring",
     "color_edges": "coloring",
-    "colors_needed": "coloring",
     "Build": "construction",
     "PlaneWickets": "construction",
     "build_eisenstein": "construction",
     "build_f3": "construction",
     "build_modular": "construction",
     "build_wickets": "construction",
+    "colors_needed": "construction",
+    "load_int_set_file": "construction",
+    "parse_int_set_text": "construction",
     "plane_wicket_counts": "construction",
     "wicket_dependency_degree": "construction",
     "wicket_system": "construction",
@@ -50,6 +52,8 @@ _MODULES = {
     "EisensteinPoint": "eisenstein",
     "OMEGA": "eisenstein",
     "coordinate_norm": "eisenstein",
+    "load_eisenstein_set_file": "eisenstein",
+    "parse_eisenstein_set_text": "eisenstein",
     "region_points": "eisenstein",
     "region_scan_size": "eisenstein",
     "ring_norm": "eisenstein",
@@ -62,14 +66,10 @@ _MODULES = {
     "has_solution": "eqfree",
     "is_free": "eqfree",
     "iter_nontrivial_solutions": "eqfree",
-    "load_eisenstein_set_file": "eqfree",
-    "load_int_set_file": "eqfree",
     "max_free_exhaustive": "eqfree",
     "max_free_heuristic": "eqfree",
     "max_triangle_free": "eqfree",
     "modular_equation": "eqfree",
-    "parse_eisenstein_set_text": "eqfree",
-    "parse_int_set_text": "eqfree",
     "ruzsa_equation": "eqfree",
     "CapFileError": "errors",
     "CapVerificationError": "errors",

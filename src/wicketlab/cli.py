@@ -149,16 +149,17 @@ def _make_build(args):
         cap = load_cap_file(args.cap)
         _check_domain(3**cap.dimension, "--cap")
         return build_f3(cap), cap.dimension, len(cap)
-    _bind("eisenstein", "eqfree")
     if args.family == "modular":
         n = args.k * args.k - args.k + 1
         _check_domain(n, "--k")
         elems = load_int_set_file(args.set, modulus=n)
         return build_modular(elems, args.k), n, len(elems)
+    _bind("eisenstein")
     _check_domain(region_scan_size(args.bound), "--bound")
     if args.set is not None:
         elems = load_eisenstein_set_file(args.set)
     else:
+        _bind("eqfree")
         region = region_points(args.bound, norm=args.norm)
         if len(region) > TRIANGLE_EXHAUSTIVE_LIMIT:
             raise DomainTooLargeError(
@@ -172,7 +173,7 @@ def _make_build(args):
 
 
 def cmd_build(args) -> int:
-    _bind("bounds", "coloring", "construction", "hypergraph")
+    _bind("bounds", "construction", "hypergraph")
     with ExitStack() as stack:
         out, report_file = _open_outputs(stack, args.out, args.report)
         build, n, set_size = _make_build(args)
@@ -275,6 +276,11 @@ def cmd_search(args) -> int:
     if mode == "auto":
         mode = "exhaustive" if len(domain) <= limit else "local"
     if mode == "exhaustive":
+        if len(domain) > limit:
+            raise DomainTooLargeError(
+                f"domain has {len(domain)} elements, exhaustive limit is "
+                f"{limit}; use --mode local instead"
+            )
         result = max_free_exhaustive(domain, spec, max_domain=limit)
     else:
         result = max_free_heuristic(
@@ -345,7 +351,26 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _add_build_family_args(sub) -> None:
+def _fill_cap(cap) -> None:
+    sub = cap.add_subparsers(dest="action", required=True)
+    verify = sub.add_parser("verify", help="check a cap file")
+    verify.add_argument("file")
+    largest = sub.add_parser("max", help="exact maximum cap (n <= 3)")
+    largest.add_argument("--n", type=int, required=True)
+    product = sub.add_parser("product", help="coordinate-wise product")
+    product.add_argument("--left", required=True)
+    product.add_argument("--right", required=True)
+    product.add_argument("--out")
+    lift = sub.add_parser("lift", help="zero-pad to a larger dimension")
+    lift.add_argument("--cap", required=True)
+    lift.add_argument("--dimension", type=int, required=True)
+    lift.add_argument("--out")
+    cap.set_defaults(func=cmd_cap)
+
+
+def _fill_families(parser) -> tuple:
+    """The three family subcommands that `build` and `color` share."""
+    sub = parser.add_subparsers(dest="family", required=True)
     f3 = sub.add_parser("f3", help="lines over GF(3) vectors from a cap file")
     f3.add_argument("--cap", required=True, help="cap file (base-3 lines)")
     f3.set_defaults(family="f3")
@@ -368,81 +393,51 @@ def _add_build_family_args(sub) -> None:
         help="use the exact largest triangle-free subset of the region",
     )
     eis.set_defaults(family="eisenstein", set=None)
+    return f3, mod, eis
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wicketlab",
-        description=(
-            "Construct, color, and verify wicket-free linear tripartite "
-            "hypergraphs from progression-free sets."
-        ),
-    )
-    top = parser.add_subparsers(dest="command", required=True)
+def _fill_build(build) -> None:
+    for family in _fill_families(build):
+        family.add_argument("--out", help="write the hypergraph file here")
+        family.add_argument("--report", help="also write the JSON report here")
+        family.set_defaults(func=cmd_build)
 
-    cap = top.add_parser("cap", help="progression-free set utilities")
-    cap_sub = cap.add_subparsers(dest="action", required=True)
-    cap_verify = cap_sub.add_parser("verify", help="check a cap file")
-    cap_verify.add_argument("file")
-    cap_max = cap_sub.add_parser("max", help="exact maximum cap (n <= 3)")
-    cap_max.add_argument("--n", type=int, required=True)
-    cap_prod = cap_sub.add_parser("product", help="coordinate-wise product")
-    cap_prod.add_argument("--left", required=True)
-    cap_prod.add_argument("--right", required=True)
-    cap_prod.add_argument("--out")
-    cap_lift = cap_sub.add_parser("lift", help="zero-pad to a larger dimension")
-    cap_lift.add_argument("--cap", required=True)
-    cap_lift.add_argument("--dimension", type=int, required=True)
-    cap_lift.add_argument("--out")
-    cap.set_defaults(func=cmd_cap)
 
-    build = top.add_parser("build", help="construct a hypergraph")
-    build_sub = build.add_subparsers(dest="family", required=True)
-    _add_build_family_args(build_sub)
-    for name in ("f3", "modular", "eisenstein"):
-        sub = build_sub.choices[name]
-        sub.add_argument("--out", help="write the hypergraph file here")
-        sub.add_argument("--report", help="also write the JSON report here")
-        sub.set_defaults(func=cmd_build)
+def _fill_color(color) -> None:
+    for family in _fill_families(color):
+        family.add_argument("--seed", type=int, default=0)
+        family.add_argument("--attempts", type=_int_at_least(1), default=8)
+        family.add_argument("--out", help="write the selected class here")
+        family.set_defaults(func=cmd_color)
 
-    color = top.add_parser("color", help="build, then color away all wickets")
-    color_sub = color.add_subparsers(dest="family", required=True)
-    _add_build_family_args(color_sub)
-    for name in ("f3", "modular", "eisenstein"):
-        sub = color_sub.choices[name]
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--attempts", type=_int_at_least(1), default=8)
-        sub.add_argument("--out", help="write the selected class here")
-        sub.set_defaults(func=cmd_color)
 
-    search = top.add_parser("search", help="largest solution-free sets")
-    search_sub = search.add_subparsers(dest="problem", required=True)
-    ruzsa = search_sub.add_parser("ruzsa", help="3x+y=2z+2w over 1..n")
+def _fill_search(search) -> None:
+    sub = search.add_subparsers(dest="problem", required=True)
+    ruzsa = sub.add_parser("ruzsa", help="3x+y=2z+2w over 1..n")
     ruzsa.add_argument("--n", type=_int_at_least(0), required=True)
-    modular = search_sub.add_parser(
+    modular = sub.add_parser(
         "modular", help="kx-(k-1)y=z over the residues mod k^2-k+1"
     )
     modular.add_argument("--k", type=_int_at_least(2), required=True)
-    triangle = search_sub.add_parser(
+    triangle = sub.add_parser(
         "triangle", help="equilateral-free subsets of a lattice disc"
     )
     triangle.add_argument("--bound", type=_int_at_least(0), required=True)
     triangle.add_argument(
         "--norm", choices=("coordinate", "ring"), default="coordinate"
     )
-    for sub in (ruzsa, modular, triangle):
-        sub.add_argument(
+    for problem in (ruzsa, modular, triangle):
+        problem.add_argument(
             "--mode",
             choices=("auto", "exhaustive", "greedy", "local"),
             default="auto",
         )
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--budget", type=_int_at_least(0), default=2000)
-        sub.set_defaults(func=cmd_search)
+        problem.add_argument("--seed", type=int, default=0)
+        problem.add_argument("--budget", type=_int_at_least(0), default=2000)
+        problem.set_defaults(func=cmd_search)
 
-    census = top.add_parser(
-        "census", help="classify all linear 5-edge grid systems"
-    )
+
+def _fill_census(census) -> None:
     census.add_argument(
         "--jobs",
         type=_int_at_least(1),
@@ -462,9 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     census.set_defaults(func=cmd_census)
 
-    bounds = top.add_parser("bounds", help="exponent and bound formulas")
-    bounds_sub = bounds.add_subparsers(dest="calc", required=True)
-    exponent = bounds_sub.add_parser("exponent")
+
+def _fill_bounds(bounds) -> None:
+    sub = bounds.add_subparsers(dest="calc", required=True)
+    exponent = sub.add_parser("exponent")
     exponent.add_argument("--base", type=float)
     exponent.add_argument("--selected", type=int)
     exponent.add_argument(
@@ -472,17 +468,49 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(0),
         help="GF(3) dimension; the vertex count is taken as 3^(n+1)",
     )
-    corollary = bounds_sub.add_parser("corollary")
+    corollary = sub.add_parser("corollary")
     corollary.add_argument("--c", type=float, required=True)
-    gl = bounds_sub.add_parser("gl")
+    gl = sub.add_parser("gl")
     gl.add_argument("--exponent", type=float, required=True)
     bounds.set_defaults(func=cmd_bounds)
 
+
+# Each command's help line and the function that fills in its parser.
+_COMMANDS = {
+    "cap": ("progression-free set utilities", _fill_cap),
+    "build": ("construct a hypergraph", _fill_build),
+    "color": ("build, then color away all wickets", _fill_color),
+    "search": ("largest solution-free sets", _fill_search),
+    "census": ("classify all linear 5-edge grid systems", _fill_census),
+    "bounds": ("exponent and bound formulas", _fill_bounds),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser with every command listed. Given a command's name,
+    only that command's branch is filled in, since a run parses with it
+    alone; otherwise (no name, `-h`, an unknown word) the whole tree is,
+    so help and usage errors read the same either way."""
+    parser = _Parser(
+        prog="wicketlab",
+        description=(
+            "Construct, color, and verify wicket-free linear tripartite "
+            "hypergraphs from progression-free sets."
+        ),
+    )
+    top = parser.add_subparsers(dest="command", required=True)
+    whole = command not in _COMMANDS
+    for name, (help_text, fill) in _COMMANDS.items():
+        sub = top.add_parser(name, help=help_text)
+        if whole or name == command:
+            fill(sub)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

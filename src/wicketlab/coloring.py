@@ -1,8 +1,8 @@
 """Random edge coloring with resampling until no wicket is monochromatic.
 
-The color count k is the smallest integer >= 2 whose fourth power
-reaches 120 times the direction-set size. A uniform random coloring is
-repaired by resampling the five edges of the lowest-indexed
+The color count k (colors_needed) is the smallest integer >= 2 whose
+fourth power reaches 120 times the direction-set size. A uniform random
+coloring is repaired by resampling the five edges of the lowest-indexed
 monochromatic wicket; under the usual local-lemma accounting each bad
 event depends on few others, so the repair loop terminates quickly.
 Attempts are capped; each failed attempt reseeds deterministically.
@@ -18,23 +18,17 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from .construction import PlaneWickets, build_wickets, wickets_by_edge
+from .construction import (
+    PlaneWickets,
+    build_wickets,
+    colors_needed,
+    wickets_by_edge,
+)
 from .errors import ColoringBudgetError, IncompleteWicketListError
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
 RESAMPLE_FACTOR = 100
 SEED_STRIDE = 1000003
-
-
-def colors_needed(set_size: int) -> int:
-    """Smallest k >= 2 with k^4 >= 120 * set_size."""
-    if set_size < 0:
-        raise ValueError("set size cannot be negative")
-    k = 2
-    target = 120 * set_size
-    while k**4 < target:
-        k += 1
-    return k
 
 
 class EdgeColoring(NamedTuple):

@@ -38,8 +38,10 @@ The other families list their wickets with the generic detector.
 from __future__ import annotations
 
 import operator
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
+from .errors import SetFileError
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
 # The layer of each family (gf3, eisenstein) and the equation layer
@@ -132,6 +134,34 @@ def build_modular(elements: Iterable[int], k: int) -> Build:
     return _build(elems, residues, residues, 1, k, add=lambda a, b: (a + b) % n)
 
 
+def parse_int_set_text(text: str, modulus: Optional[int] = None) -> tuple:
+    """One integer per line; '#' comments and blanks ignored."""
+    values: list = []
+    seen: set = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise SetFileError(f"not an integer: {line!r}", lineno) from None
+        if modulus is not None:
+            if not 0 <= value < modulus:
+                raise SetFileError(
+                    f"{value} outside residue range 0..{modulus - 1}", lineno
+                )
+        if value in seen:
+            raise SetFileError(f"duplicate value {value}", lineno)
+        seen.add(value)
+        values.append(value)
+    return tuple(sorted(values))
+
+
+def load_int_set_file(path, modulus: Optional[int] = None) -> tuple:
+    return parse_int_set_text(Path(path).read_text(), modulus=modulus)
+
+
 def build_eisenstein(
     elements: Iterable[EisensteinPoint], bound: int, norm: str = "coordinate"
 ) -> Build:
@@ -150,6 +180,18 @@ def build_eisenstein(
         deltas.add(OMEGA * s)
     vertices = sorted({p + d for p in region for d in deltas})
     return _build(elems, region, vertices, -1, OMEGA)
+
+
+def colors_needed(set_size: int) -> int:
+    """Smallest k >= 2 with k^4 >= 120 * set_size: the palette that
+    colors a build over a set of this size."""
+    if set_size < 0:
+        raise ValueError("set size cannot be negative")
+    k = 2
+    target = 120 * set_size
+    while k**4 < target:
+        k += 1
+    return k
 
 
 def build_wickets(build) -> list:

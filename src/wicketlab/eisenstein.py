@@ -8,7 +8,10 @@ w^2 = -1 - w, 1 + w = e^{i*pi/3} (the rotation by pi/3), and
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Callable, NamedTuple
+
+from .errors import SetFileError
 
 
 class EisensteinPoint(NamedTuple):
@@ -102,3 +105,29 @@ def region_points(bound: int, norm: str = "coordinate") -> tuple:
             if norm_fn(p) <= bound:
                 points.append(p)
     return tuple(sorted(points))
+
+
+def parse_eisenstein_set_text(text: str) -> tuple:
+    """One "a,b" lattice pair per line; '#' comments and blanks ignored."""
+    points: list = []
+    seen: set = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise SetFileError(f"expected 'a,b', got {line!r}", lineno)
+        try:
+            point = EisensteinPoint(int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise SetFileError(f"non-integer pair {line!r}", lineno) from None
+        if point in seen:
+            raise SetFileError(f"duplicate point {line}", lineno)
+        seen.add(point)
+        points.append(point)
+    return tuple(sorted(points))
+
+
+def load_eisenstein_set_file(path) -> tuple:
+    return parse_eisenstein_set_text(Path(path).read_text())

@@ -25,11 +25,10 @@ import bisect
 import itertools
 import math
 import random
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .eisenstein import ONE, OMEGA, ROT60, EisensteinPoint, region_points
-from .errors import DomainTooLargeError, SetFileError
+from .errors import DomainTooLargeError
 
 DEFAULT_EXHAUSTIVE_LIMIT = 30
 TRIANGLE_EXHAUSTIVE_LIMIT = 22
@@ -422,56 +421,3 @@ def max_triangle_free(
         )
     return max_free_heuristic(region, spec, seed=seed, budget=budget)
 
-
-def parse_int_set_text(text: str, modulus: Optional[int] = None) -> tuple:
-    """One integer per line; '#' comments and blanks ignored."""
-    values: list = []
-    seen: set = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = int(line)
-        except ValueError:
-            raise SetFileError(f"not an integer: {line!r}", lineno) from None
-        if modulus is not None:
-            if not 0 <= value < modulus:
-                raise SetFileError(
-                    f"{value} outside residue range 0..{modulus - 1}", lineno
-                )
-        if value in seen:
-            raise SetFileError(f"duplicate value {value}", lineno)
-        seen.add(value)
-        values.append(value)
-    return tuple(sorted(values))
-
-
-def parse_eisenstein_set_text(text: str) -> tuple:
-    """One "a,b" lattice pair per line; '#' comments and blanks ignored."""
-    points: list = []
-    seen: set = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise SetFileError(f"expected 'a,b', got {line!r}", lineno)
-        try:
-            point = EisensteinPoint(int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise SetFileError(f"non-integer pair {line!r}", lineno) from None
-        if point in seen:
-            raise SetFileError(f"duplicate point {line}", lineno)
-        seen.add(point)
-        points.append(point)
-    return tuple(sorted(points))
-
-
-def load_int_set_file(path, modulus: Optional[int] = None) -> tuple:
-    return parse_int_set_text(Path(path).read_text(), modulus=modulus)
-
-
-def load_eisenstein_set_file(path) -> tuple:
-    return parse_eisenstein_set_text(Path(path).read_text())

@@ -333,6 +333,25 @@ def test_search_exhaustive_guard():
 
 
 @pytest.mark.parametrize(
+    "argv, size, limit",
+    [
+        (["ruzsa", "--n", "31"], 31, 30),
+        (["modular", "--k", "7"], 43, 30),
+        (["triangle", "--bound", "8"], 25, 22),
+    ],
+    ids=["ruzsa", "modular", "triangle"],
+)
+def test_search_exhaustive_guard_names_the_cli_option(argv, size, limit, capsys):
+    code = cli.main(["search", *argv, "--mode", "exhaustive"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"error: domain has {size} elements, exhaustive limit is {limit}; "
+        "use --mode local instead\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["search", "ruzsa", "--n", "-3"], "argument --n: must be at least 0"),
@@ -588,3 +607,86 @@ def test_modular_set_out_of_range(tmp_path):
     bad.write_text("9\n")
     res = run_cli("build", "modular", "--k", "2", "--set", str(bad))
     assert res.returncode == 1
+
+
+# A valid argv for every leaf command. The parser tests below run none of
+# them: every command function is replaced by one that records its args.
+VALID_ARGV = [
+    ["cap", "verify", "c.txt"],
+    ["cap", "max", "--n", "2"],
+    ["cap", "product", "--left", "a", "--right", "b", "--out", "o"],
+    ["cap", "lift", "--cap", "c", "--dimension", "5"],
+    ["build", "f3", "--cap", "c", "--out", "o", "--report", "r"],
+    ["build", "modular", "--k", "5", "--set", "s"],
+    ["build", "eisenstein", "--bound", "6", "--auto", "--norm", "ring"],
+    ["color", "f3", "--cap", "c", "--seed", "3", "--attempts", "2"],
+    ["color", "modular", "--k", "5", "--set", "s", "--out", "o"],
+    ["color", "eisenstein", "--bound", "4", "--set", "e"],
+    ["search", "ruzsa", "--n", "10"],
+    ["search", "modular", "--k", "5", "--mode", "local", "--seed", "2"],
+    ["search", "triangle", "--bound", "6", "--budget", "9"],
+    ["census", "--detectors", "--minimality", "--csv", "x", "--jobs", "2"],
+    ["bounds", "exponent", "--selected", "5", "--n", "2"],
+    ["bounds", "corollary", "--c", "2.2"],
+    ["bounds", "gl", "--exponent", "0.5"],
+]
+BRANCHES = [[], *([name] for name in cli._COMMANDS)] + [
+    argv[:2] for argv in VALID_ARGV if argv[0] != "census"
+]
+PARSER_CASES = [
+    *VALID_ARGV,
+    *(branch + ["-h"] for branch in BRANCHES),
+    [],
+    ["build"],
+    ["build", "modular", "--k", "5"],
+    ["build", "eisenstein", "--bound", "2"],
+    ["build", "eisenstein", "--bound", "2", "--auto", "--set", "e"],
+    ["search", "ruzsa", "--n", "5", "--mode", "fast"],
+    ["color", "eisenstein", "--bound", "2", "--auto", "--norm", "taxicab"],
+    ["census", "--jobs", "0"],
+    ["census", "--bogus"],
+    ["build", "f3", "--cap", "c", "--seed", "1"],
+    ["bounds", "gl", "--exponent", "0.5", "extra"],
+    ["frobnicate"],
+    ["frobnicate", "--n", "1"],
+    ["--version"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_each_command_parses_as_the_whole_tree_does(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    ran = []
+
+    def record(args):
+        ran.append(args)
+        return 0
+
+    for name in ("cap", "build", "color", "search", "census", "bounds"):
+        monkeypatch.setattr(cli, f"cmd_{name}", record)
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    try:
+        whole = [cli.build_parser().parse_args(list(argv))]
+        whole_code = 0
+    except SystemExit as exc:
+        whole, whole_code = [], exc.code
+    assert (code, out, err) == (whole_code, *capsys.readouterr())
+    assert ran == whole
+
+
+def test_build_parser_fills_only_the_named_branch():
+    def filled(parser) -> list:
+        (top,) = (a for a in parser._actions if a.dest == "command")
+        return [
+            name
+            for name, sub in top.choices.items()
+            if any(a.dest != "help" for a in sub._actions)
+        ]
+
+    assert filled(cli.build_parser()) == list(cli._COMMANDS)
+    for name in cli._COMMANDS:
+        assert filled(cli.build_parser(name)) == [name]
+    assert filled(cli.build_parser("frobnicate")) == list(cli._COMMANDS)

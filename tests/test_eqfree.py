@@ -5,9 +5,14 @@ import random
 
 import pytest
 
-from wicketlab.construction import wicket_system
+from wicketlab.construction import parse_int_set_text, wicket_system
 
-from wicketlab.eisenstein import OMEGA, EisensteinPoint, region_points
+from wicketlab.eisenstein import (
+    OMEGA,
+    EisensteinPoint,
+    parse_eisenstein_set_text,
+    region_points,
+)
 from wicketlab.eqfree import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     EquationSpec,
@@ -20,8 +25,6 @@ from wicketlab.eqfree import (
     max_free_heuristic,
     max_triangle_free,
     modular_equation,
-    parse_eisenstein_set_text,
-    parse_int_set_text,
     ruzsa_equation,
 )
 from wicketlab.errors import DomainTooLargeError, SetFileError

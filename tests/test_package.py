@@ -52,37 +52,70 @@ def _fresh(code: str) -> dict:
     return json.loads(res.stdout.splitlines()[-1])
 
 
+def _loaded_by(argv: list) -> dict:
+    """The modules that `import wicketlab.cli` ("startup") and then
+    `main(argv)` ("main") load, in a new interpreter."""
+    return _fresh(
+        f"""
+        import contextlib, io, json, sys
+        before = set(sys.modules)
+        import wicketlab.cli as cli
+        startup = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({argv!r}) == 0
+        print(json.dumps({{"startup": sorted(startup - before),
+                          "main": sorted(set(sys.modules) - startup)}}))
+        """
+    )
+
+
 def test_commands_import_only_their_layers(tmp_path):
     cap = tmp_path / "cap.txt"
     cap.write_text("00\n01\n10\n11\n")
-    seen = _fresh(
-        f"""
-        import json, sys
-        before = set(sys.modules)
-        import wicketlab.cli as cli
-        startup = sorted(set(sys.modules) - before)
-        layers = {{}}
-        for argv in (["build", "f3", "--cap", {str(cap)!r}],
-                     ["search", "ruzsa", "--n", "5"], ["census"]):
-            loaded = set(sys.modules)
-            assert cli.main(argv) == 0
-            layers[argv[0]] = sorted(set(sys.modules) - loaded)
-        print(json.dumps({{"startup": startup, **layers}}))
-        """
-    )
-    assert "dataclasses" not in seen["startup"]
-    assert [m for m in seen["startup"] if m.startswith("wicketlab.")] == [
+    residues = tmp_path / "residues.txt"
+    residues.write_text("0\n1\n3\n")
+    points = tmp_path / "points.txt"
+    points.write_text("0,1\n1,0\n")
+    # One interpreter per command, so a layer an earlier command loaded
+    # cannot hide that a later one loads it too.
+    modular = ["modular", "--k", "3", "--set", str(residues)]
+    runs = {
+        label: _loaded_by(argv)
+        for label, argv in (
+            ("build f3", ["build", "f3", "--cap", str(cap)]),
+            ("build modular", ["build", *modular]),
+            ("color modular", ["color", *modular]),
+            (
+                "build eisenstein",
+                ["build", "eisenstein", "--bound", "2", "--set", str(points)],
+            ),
+            ("search", ["search", "ruzsa", "--n", "5"]),
+            ("census", ["census"]),
+        )
+    }
+    startup = runs["census"]["startup"]
+    assert "dataclasses" not in startup
+    assert [m for m in startup if m.startswith("wicketlab.")] == [
         "wicketlab.cli",
         "wicketlab.errors",
     ]
-    assert "wicketlab.eqfree" in seen["search"]
-    for module in ("wicketlab.construction", "wicketlab.census"):
-        assert module not in seen["search"]
-    assert "wicketlab.census" in seen["census"]
-    assert "wicketlab.eqfree" not in seen["census"]
-    assert "wicketlab.construction" in seen["build"]
-    for module in ("eqfree", "eisenstein", "census"):
-        assert f"wicketlab.{module}" not in seen["build"]
+    seen = {
+        label: {m.removeprefix("wicketlab.") for m in run["main"]}
+        for label, run in runs.items()
+    }
+    assert "eqfree" in seen["search"]
+    assert seen["search"].isdisjoint({"construction", "census"})
+    assert "census" in seen["census"]
+    assert "eqfree" not in seen["census"]
+    for label in ("build f3", "build modular"):
+        assert "construction" in seen[label]
+        assert seen[label].isdisjoint(
+            {"eqfree", "eisenstein", "census", "coloring"}
+        )
+    assert "coloring" in seen["color modular"]
+    assert seen["color modular"].isdisjoint({"eqfree", "eisenstein"})
+    assert "eisenstein" in seen["build eisenstein"]
+    assert "eqfree" not in seen["build eisenstein"]
 
 
 def test_cli_calls_the_value_set_before_main():
