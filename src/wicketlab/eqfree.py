@@ -14,9 +14,12 @@ The exact search lists every non-trivial solution over the domain once
 and keeps the inclusion-minimal solution value sets as bitmasks (the
 forbidden sets): a set is free exactly when it contains none of them.
 The branch and bound over these masks is shared with the exact cap
-search in `gf3`, whose forbidden sets are the lines. The heuristic
-calls `has_solution` per move, since its domains have no size limit,
-and every result's `verified` flag comes from `has_solution` too.
+search in `gf3`, whose forbidden sets are the lines. The heuristic,
+whose domains have no size limit, keeps its set free, so each move
+calls `has_solution(S, spec, through=c)`: it lists only the solutions
+over S | {c} that use the new element c, which decides whether S | {c}
+is free only because S is. Every result's `verified` flag comes from a
+full `has_solution` check.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class EquationSpec:
         self.relations = relations
         self.modulus = modulus
         self.trivial = trivial
+        self._plans: dict = {}  # built by iter_nontrivial_solutions
 
     def is_trivial(self, assignment: dict) -> bool:
         if self.trivial is not None:
@@ -90,85 +94,143 @@ def _canon(value, modulus: Optional[int]):
     return value % modulus if modulus is not None else value
 
 
-def _unit_sign(coeff) -> Optional[int]:
-    if isinstance(coeff, int):
-        if coeff == 1:
-            return 1
-        if coeff == -1:
-            return -1
-        return None
-    if isinstance(coeff, EisensteinPoint):
-        if coeff == ONE:
-            return 1
-        if coeff == -ONE:
-            return -1
+def _solver(coeff, modulus: Optional[int], units: bool, divide: bool):
+    """(factor, divisor) that solve coeff * v + rest = 0 for v, as
+    v = factor * rest or, with a divisor, as the exact quotient
+    -rest / divisor; None when the coefficient allows neither.
+
+    +-1 always solves. With `units`, so do the units mod m and the
+    Eisenstein units (the sixth roots of unity); with `divide`, the
+    other non-zero integers, by exact division over Z.
+    """
+    if coeff in (1, ONE):
+        return -1, None
+    if coeff in (-1, -ONE):
+        return 1, None
+    if units and isinstance(coeff, EisensteinPoint):
+        power = coeff
+        for _ in range(6):
+            if power * coeff == ONE:
+                return -power, None
+            power = power * coeff
+    elif units and modulus is not None and math.gcd(coeff, modulus) == 1:
+        return -pow(coeff, -1, modulus) % modulus, None
+    elif divide and isinstance(coeff, int) and coeff:
+        return None, coeff
     return None
 
 
-def _solver_plan(spec: EquationSpec) -> Optional[tuple]:
-    """Locate one relation term with a +-1 coefficient to solve for.
+def _plan(spec: EquationSpec, pinned, units: bool, divide: bool) -> tuple:
+    """(free, solved, rest, factor, divisor, checked) for listing the
+    solutions in which `pinned` (None: no variable) has a fixed value.
 
-    The relation needs a second term to solve from, and the chosen
-    variable must appear exactly once in it, so the remaining terms
-    evaluate without it.
+    `solved` is the variable of the first term, in a relation of two or
+    more terms, that is not `pinned`, appears once in its relation and
+    has a coefficient `_solver` accepts (None if no term does). It is
+    computed from `rest`, the relation's other terms as (index into
+    `free`, coefficient). The `free` variables, the pinned one included,
+    are enumerated and the `checked` relations tested afterwards.
     """
     for ridx, relation in enumerate(spec.relations):
-        if len(relation) < 2:
-            continue
-        mentions: dict = {}
-        for var, _coeff in relation:
-            mentions[var] = mentions.get(var, 0) + 1
+        names = [var for var, _coeff in relation]
         for tidx, (var, coeff) in enumerate(relation):
-            if mentions[var] != 1:
+            if len(names) < 2 or var == pinned or names.count(var) != 1:
                 continue
-            sign = _unit_sign(coeff)
-            if sign is not None:
-                return ridx, tidx, sign
-    return None
+            solve = _solver(coeff, spec.modulus, units, divide)
+            if solve is not None:
+                free = tuple(v for v in spec.variables if v != var)
+                rest = tuple(
+                    (free.index(v), c)
+                    for i, (v, c) in enumerate(relation)
+                    if i != tidx
+                )
+                checked = spec.relations[:ridx] + spec.relations[ridx + 1 :]
+                return (free, var, rest, *solve, checked)
+    return spec.variables, None, (), None, None, spec.relations
 
 
-def iter_nontrivial_solutions(S: Iterable, spec: EquationSpec) -> Iterator[dict]:
-    """Every non-trivial solving assignment with values drawn from S.
+def iter_nontrivial_solutions(
+    S: Iterable, spec: EquationSpec, through=None
+) -> Iterator[dict]:
+    """Every non-trivial solving assignment with values drawn from S,
+    reduced mod m when the spec has a modulus.
 
     When some relation carries a +-1 coefficient, that variable is
     solved from the others, saving one enumeration dimension; the
     remaining relations and the triviality rule are then checked on the
     completed assignment. Otherwise every assignment is enumerated.
+
+    With `through=c`, only the solutions over S | {c} that use the value
+    c are listed, each once: under the first variable equal to c, which
+    is pinned to c while another term of a relation is solved by a unit
+    coefficient or, over integer values, by exact division. When S is
+    free, these are all the solutions over S | {c}.
     """
-    values = sorted(set(S))
-    plan = _solver_plan(spec)
-    if plan is None:
-        solved_var, free_vars, checked = None, spec.variables, spec.relations
-    else:
-        ridx, tidx, sign = plan
-        relation = spec.relations[ridx]
-        solved_var = relation[tidx][0]
-        rest_terms = tuple(t for i, t in enumerate(relation) if i != tidx)
-        free_vars = tuple(v for v in spec.variables if v != solved_var)
-        checked = tuple(r for i, r in enumerate(spec.relations) if i != ridx)
-        members = {_canon(v, spec.modulus) for v in values}
+    modulus = spec.modulus
+    values = set(S) if modulus is None else {v % modulus for v in S}
+    pins: tuple = (None,)
+    key = None
+    if through is not None:
+        through = _canon(through, modulus)
+        values.add(through)
+        pins = spec.variables
+        key = modulus is None and all(isinstance(v, int) for v in values)
+    plans = spec._plans.get(key)
+    if plans is None:  # built once per spec and key
+        plans = spec._plans[key] = {
+            pin: _plan(spec, pin, key is not None, bool(key)) for pin in pins
+        }
+    values = sorted(values)
+    members = set(values)
 
-    for combo in itertools.product(values, repeat=len(free_vars)):
-        assignment = dict(zip(free_vars, combo))
-        if solved_var is not None:
-            rest = _relation_value(rest_terms, assignment)
-            candidate = _canon(-rest if sign == 1 else rest, spec.modulus)
-            if candidate not in members:
+    for pinned in pins:
+        free, solved, rest_terms, factor, divisor, checked = plans[pinned]
+        earlier = ()
+        if pinned is not None:
+            earlier = spec.variables[: spec.variables.index(pinned)]
+        domains = [(through,) if v == pinned else values for v in free]
+        for combo in itertools.product(*domains):
+            if solved is not None:
+                rest = None
+                for i, coeff in rest_terms:
+                    term = coeff * combo[i]
+                    rest = term if rest is None else rest + term
+                if divisor is not None:
+                    if rest % divisor:
+                        continue
+                    value = -rest // divisor
+                elif factor == 1:
+                    value = rest
+                elif factor == -1:
+                    value = -rest
+                else:
+                    value = factor * rest
+                if modulus is not None:
+                    value %= modulus
+                if value not in members:
+                    continue
+            assignment = dict(zip(free, combo))
+            if solved is not None:
+                assignment[solved] = value
+            if not all(
+                _is_zero(_relation_value(r, assignment), modulus)
+                for r in checked
+            ):
                 continue
-            assignment[solved_var] = candidate
-        if not all(
-            _is_zero(_relation_value(r, assignment), spec.modulus)
-            for r in checked
-        ):
-            continue
-        if spec.is_trivial(assignment):
-            continue
-        yield assignment
+            if spec.is_trivial(assignment):
+                continue
+            if any(assignment[v] == through for v in earlier):
+                continue  # listed under an earlier variable
+            yield assignment
 
 
-def has_solution(S: Iterable, spec: EquationSpec) -> Optional[dict]:
-    """First non-trivial solution with values drawn from S, or None."""
-    return next(iter_nontrivial_solutions(S, spec), None)
+def has_solution(S: Iterable, spec: EquationSpec, through=None) -> Optional[dict]:
+    """First non-trivial solution with values drawn from S, or None.
+
+    With `through=c`, the first over S | {c} that uses c: when S is
+    free, None means that S | {c} is free as well.
+    """
+    return next(iter_nontrivial_solutions(S, spec, through), None)
 
 
 def is_free(S: Iterable, spec: EquationSpec) -> bool:
@@ -322,7 +384,7 @@ def greedy_free_set(domain: Iterable, spec: EquationSpec) -> tuple:
     """Ascending-order greedy insertion; the heuristic baseline."""
     current: list = []
     for cand in sorted(set(domain)):
-        if has_solution(current + [cand], spec) is None:
+        if has_solution(current, spec, through=cand) is None:
             current.append(cand)
     return tuple(current)
 
@@ -367,7 +429,7 @@ def max_free_heuristic(
             if not outside:
                 continue
             cand = rng.choice(outside)
-            if has_solution(current + [cand], spec) is None:
+            if has_solution(current, spec, through=cand) is None:
                 bisect.insort(current, cand)
                 member_set.add(cand)
         elif move == "remove":
@@ -386,8 +448,8 @@ def max_free_heuristic(
                 continue
             victim = rng.choice(current)
             cand = rng.choice(outside)
-            trial = [c for c in current if c != victim] + [cand]
-            if has_solution(trial, spec) is None:
+            kept = [c for c in current if c != victim]
+            if has_solution(kept, spec, through=cand) is None:
                 current.remove(victim)
                 member_set.discard(victim)
                 bisect.insort(current, cand)

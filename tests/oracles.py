@@ -4,8 +4,9 @@ Everything here works straight from definitions (subset scans, raw
 nested loops, squared side lengths) and deliberately shares no helper
 code with the package. The exceptions are earlier versions of fast
 paths, kept as references for the order of their output; of these,
-`max_free_first_by_has_solution` calls the library's `has_solution`,
-which other tests check against raw scans.
+`max_free_first_by_has_solution` and `max_free_heuristic_by_full_check`
+call the library's `has_solution`, which other tests check against raw
+scans.
 """
 
 from itertools import combinations
@@ -621,6 +622,70 @@ def max_free_first_by_has_solution(domain, spec) -> tuple:
 
     extend([], items)
     return tuple(best)
+
+
+def max_free_heuristic_by_full_check(
+    domain, spec, seed=0, budget=2000, method="local"
+) -> tuple:
+    """The elements `max_free_heuristic` returned when each move called
+    the library's `has_solution` on the whole trial set: ascending greedy
+    insertion, then (method "local") seeded annealing with add, remove
+    and swap moves. The reference for which set it returns.
+    """
+    import bisect
+    import math
+    import random
+
+    from wicketlab.eqfree import has_solution
+
+    items = sorted(set(domain))
+    current: list = []
+    for cand in items:
+        if has_solution(current + [cand], spec) is None:
+            current.append(cand)
+    best = tuple(current)
+    if method == "greedy" or not items:
+        return best
+
+    rng = random.Random(seed)
+    member_set = set(current)
+    temperature = 1.0
+    for _step in range(budget):
+        temperature = max(temperature * 0.995, 1e-9)
+        move = rng.choice(("add", "remove", "swap"))
+        if move == "add":
+            outside = [c for c in items if c not in member_set]
+            if not outside:
+                continue
+            cand = rng.choice(outside)
+            if has_solution(current + [cand], spec) is None:
+                bisect.insort(current, cand)
+                member_set.add(cand)
+        elif move == "remove":
+            if not current:
+                continue
+            if rng.random() >= math.exp(-1.0 / temperature):
+                continue
+            victim = rng.choice(current)
+            current.remove(victim)
+            member_set.discard(victim)
+        else:
+            if not current:
+                continue
+            outside = [c for c in items if c not in member_set]
+            if not outside:
+                continue
+            victim = rng.choice(current)
+            cand = rng.choice(outside)
+            trial = [c for c in current if c != victim] + [cand]
+            if has_solution(trial, spec) is None:
+                current.remove(victim)
+                member_set.discard(victim)
+                bisect.insort(current, cand)
+                member_set.add(cand)
+        if len(current) > len(best):
+            best = tuple(current)
+    return best
 
 
 def constant_solves(spec, sample) -> bool:

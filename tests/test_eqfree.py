@@ -15,6 +15,7 @@ from wicketlab.eisenstein import (
 )
 from wicketlab.eqfree import (
     DEFAULT_EXHAUSTIVE_LIMIT,
+    TRIANGLE_EXHAUSTIVE_LIMIT,
     EquationSpec,
     equilateral_equation,
     greedy_free_set,
@@ -34,6 +35,7 @@ from oracles import (
     constant_solves,
     equilateral_by_sides,
     max_free_first_by_has_solution,
+    max_free_heuristic_by_full_check,
     modular_solution_raw,
     ruzsa_max_fullenum,
     ruzsa_solution_raw,
@@ -108,7 +110,12 @@ def test_iter_nontrivial_solutions_complete():
 
 def test_iter_nontrivial_solutions_matches_full_product():
     # The enumerator solves one +-1 variable from the others; compare
-    # with a plain scan of every assignment.
+    # with a plain scan of every assignment. With through=c it pins each
+    # variable to c in turn and solves another term (by a unit, or by
+    # exact division over int values); compare with the scanned
+    # solutions that use c. The GF(3) cases have int coefficients over
+    # F3Elem values, where dividing by 3 or 2 would be wrong.
+    f3_plane = [F3Elem(v) for v in all_vectors(2)]
     cases = [
         (ruzsa_equation(), range(-2, 5)),
         (modular_equation(3), range(7)),
@@ -116,6 +123,8 @@ def test_iter_nontrivial_solutions_matches_full_product():
         (wicket_system(2, 3), range(3)),
         (wicket_system(3, 7), (0, 1, 2, 4, 5)),
         (wicket_system(-OMEGA), region_points(1)),
+        (_reduced_gf3_equation(), f3_plane),
+        (ruzsa_equation(), f3_plane),
     ]
     for spec, domain in cases:
         values = sorted(set(domain))
@@ -141,6 +150,30 @@ def test_iter_nontrivial_solutions_matches_full_product():
         assert has_solution(values, spec) == (
             dict(zip(spec.variables, found[0])) if found else None
         )
+        for c in values:
+            using_c = {combo for combo in expected if c in combo}
+            for S in (values, [v for v in values if v != c]):
+                found = [
+                    tuple(sol[var] for var in spec.variables)
+                    for sol in iter_nontrivial_solutions(S, spec, through=c)
+                ]
+                assert len(found) == len(set(found)), (spec.name, c)
+                assert set(found) == using_c, (spec.name, c)
+                assert (has_solution(S, spec, through=c) is None) == (
+                    not using_c
+                )
+
+
+def test_values_reduce_mod_m():
+    # 21 is 0 in Z/21: {0, 21} is the one-element set {0}, whose only
+    # solution is the trivial one.
+    spec = modular_equation(5)
+    assert has_solution([0, 21], spec) is None
+    assert has_solution([0], spec, through=21) is None
+    assert list(iter_nontrivial_solutions([1, 23, 44], spec)) == list(
+        iter_nontrivial_solutions([1, 2], spec)
+    )
+    assert has_solution([1], spec, through=23) == has_solution([1, 2], spec)
 
 
 def test_exhaustive_matches_full_enumeration():
@@ -221,6 +254,28 @@ def test_heuristic_improves_on_greedy_and_is_seed_stable():
     assert first.elements == second.elements
     assert first.size >= greedy.size
     assert first.verified and not first.optimal
+
+
+def test_heuristic_matches_full_check_oracle():
+    # Each move checks only the solutions through the new element; the
+    # oracle checks the whole trial set, so both make the same moves.
+    cases = [(ruzsa_equation(), range(1, 46))]
+    cases += [(modular_equation(k), range(k * k - k + 1)) for k in (5, 8, 12)]
+    triangle = region_points(8)
+    assert len(triangle) > TRIANGLE_EXHAUSTIVE_LIMIT
+    cases.append((equilateral_equation(), triangle))
+    for spec, domain in cases:
+        greedy = max_free_heuristic(domain, spec, method="greedy")
+        assert greedy.elements == max_free_heuristic_by_full_check(
+            domain, spec, method="greedy"
+        ), spec.name
+        for seed in range(5):
+            for budget in (250, 2000):
+                result = max_free_heuristic(domain, spec, seed=seed, budget=budget)
+                assert result.elements == max_free_heuristic_by_full_check(
+                    domain, spec, seed=seed, budget=budget
+                ), (spec.name, seed, budget)
+                assert result.verified
 
 
 def test_heuristic_unknown_method():
