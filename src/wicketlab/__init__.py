@@ -48,7 +48,6 @@ _MODULES = {
     "plane_wicket_counts": "construction",
     "wicket_dependency_degree": "construction",
     "wicket_system": "construction",
-    "wicket_witness": "construction",
     "EisensteinPoint": "eisenstein",
     "OMEGA": "eisenstein",
     "coordinate_norm": "eisenstein",

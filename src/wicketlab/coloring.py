@@ -9,7 +9,7 @@ Attempts are capped; each failed attempt reseeds deterministically.
 
 A GF(3) build is colored from its plane families, kept as one flat
 array of edge ids (PlaneWickets), so no wicket object is built; a wicket
-list, passed in or found by the detector for the other families, is
+list, passed in or listed by build_wickets for the other families, is
 indexed by wickets_by_edge.
 """
 
@@ -73,9 +73,10 @@ def color_edges(
     """Color the build's edges so no wicket is monochromatic, then
     return the largest color class (re-checked wicket-free).
 
-    Without `wickets`, a GF(3) build's wickets are read from its plane
-    families and any other build's come from build_wickets; both give
-    the same coloring as passing build_wickets(build).
+    Without `wickets`, a GF(3) build is colored from its plane families,
+    whose wicket order is not that of build_wickets(build), so passing
+    that list can give another coloring; any other build's wickets come
+    from build_wickets.
 
     Deterministic per (seed, attempts): attempt i uses the child seed
     seed * 1000003 + i. Raises ColoringBudgetError when every attempt

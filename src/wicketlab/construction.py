@@ -24,24 +24,26 @@ A solution yields a wicket exactly when eight side inequalities hold
 and the three bases exist; the inequalities say the five edges are
 pairwise distinct and the rows and columns are disjoint. The system is
 exported as an EquationSpec whose triviality rule is "some inequality
-fails", so eqfree.has_solution decides direction feasibility.
+fails", so eqfree.has_solution decides direction feasibility, and
+build_wickets lists every family's wickets from it in closed form.
 
-Over GF(3) the wickets are listed in closed form: the lifted lines of
+Over GF(3) the wickets also come in plane families: the lifted lines of
 two directions s, t span one affine plane per coset of <t - s>, and
 the six edges in such a plane carry six wickets (one per omitted edge).
 PlaneWickets keeps each such family as six edge ids in one flat array.
 The wicket count, 3^n * m * (m - 1) for m directions, and the
 dependency degree, 25m - 45, follow by formula (plane_wicket_counts).
-The other families list their wickets with the generic detector.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .errors import SetFileError
+# find_wickets is not called here, but perfbench/tracing.py wraps it here
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
 # The layer of each family (gf3, eisenstein) and the equation layer
@@ -66,11 +68,13 @@ class Build:
         directions: tuple,
         bases: tuple,
         hypergraph: TripartiteHypergraph,
+        ring: tuple,  # the (mu, nu, add, mul) of the edges
         plane_families: bool,  # GF(3): wickets come in affine planes
     ):
         self.directions = directions
         self.bases = bases
         self.hypergraph = hypergraph
+        self.ring = ring
         self.plane_families = plane_families
 
 
@@ -101,6 +105,7 @@ def _build(
         directions=tuple(directions),
         bases=tuple(bases),
         hypergraph=h,
+        ring=(mu, nu, add, mul),
         plane_families=plane_families,
     )
 
@@ -194,12 +199,37 @@ def colors_needed(set_size: int) -> int:
     return k
 
 
-def build_wickets(build) -> list:
-    """Every wicket of a build: from its plane families for GF(3),
-    from the detector otherwise."""
-    if build.plane_families:
-        return PlaneWickets(build).witnesses()
-    return find_wickets(build.hypergraph)
+def build_wickets(build: Build) -> list:
+    """Every wicket of a build, solved from its wicket system: the list
+    find_wickets(build.hypergraph) returns, in its order.
+
+    lam is a unit, so R0 and R1 give s = w + lam(v - u) and
+    t = s + lam(u - w). Each (u, v, w) in S^3 with s and t in S, and
+    each base x with y and z bases, labels columns (x, s), (y, u) and
+    rows (x, w), (y, t), (z, v). As lam, 1 - lam, mu and nu are units,
+    under R0 and R1 each side inequality fails only when s = t, s = w or
+    t = u, each of which repeats an edge. Otherwise the five edges are a
+    wicket, and a wicket has one such labelling.
+    """
+    mu, nu, add, mul = build.ring
+    lam = mu * nu  # nu / mu, as mu is +-1
+    first = {s: i * len(build.bases) for i, s in enumerate(build.directions)}
+    base_at = {a: j for j, a in enumerate(build.bases)}
+    neg = {s: mul(-1, s) for s in first}
+    found: list = []
+    for u, v, w in product(first, repeat=3):
+        s = add(w, mul(lam, add(v, neg[u])))
+        t = add(s, mul(lam, add(u, neg[w])))
+        if s not in first or t not in first or s in (t, w) or t == u:
+            continue
+        shift_y, shift_z = mul(mu, add(s, neg[t])), mul(nu, add(s, neg[v]))
+        for x, j in base_at.items():
+            y, z = base_at.get(add(x, shift_y)), base_at.get(add(x, shift_z))
+            if y is not None and z is not None:
+                cols = sorted((first[s] + j, first[u] + y))
+                rows = sorted((first[w] + j, first[t] + y, first[v] + z))
+                found.append((tuple(cols), tuple(rows)))
+    return [WicketWitness(rows, cols) for cols, rows in sorted(found)]
 
 
 class PlaneWickets:
@@ -283,21 +313,6 @@ class PlaneWickets:
             first = slot - slot % 6
             yield from range(first, slot)
             yield from range(slot + 1, first + 6)
-
-    def witnesses(self) -> list:
-        """Every item as a WicketWitness: the dropped edge's two partners
-        are the columns, the other direction's three edges the rows."""
-        edges = self._edges
-        out: list = []
-        for f in range(0, len(edges), 6):
-            a, b = tuple(edges[f : f + 3]), tuple(edges[f + 3 : f + 6])
-            for rows, (x, y, z) in ((b, a), (a, b)):
-                out += (
-                    WicketWitness(rows=rows, columns=(y, z)),
-                    WicketWitness(rows=rows, columns=(x, z)),
-                    WicketWitness(rows=rows, columns=(x, y)),
-                )
-        return out
 
 
 def plane_wicket_counts(build: Build) -> tuple:
@@ -388,33 +403,3 @@ def wicket_system(lam, modulus: Optional[int] = None) -> EquationSpec:
         modulus=modulus,
         trivial=degenerate,
     )
-
-
-def wicket_witness(
-    directions: Iterable,
-    bases: Sequence,
-    mu,
-    nu,
-    modulus: Optional[int] = None,
-) -> Optional[dict]:
-    """Directions plus bases of one wicket of the build with these
-    directions, bases and edge multipliers (mu = 1 or -1), or None.
-
-    A direction solution yields a wicket only when x, y = x + mu(s - t)
-    and z = x + nu(s - v) are all bases. Over Z/n every residue is a
-    base, so the first solution always qualifies; in a lattice disc a
-    solution can have no feasible base at all.
-    """
-    from .eqfree import _canon, iter_nontrivial_solutions
-
-    base_set = set(bases)
-    spec = wicket_system(mu * nu, modulus)  # nu / mu, as mu is +-1
-    for solution in iter_nontrivial_solutions(directions, spec):
-        shift_y = mu * (solution["s"] - solution["t"])
-        shift_z = nu * (solution["s"] - solution["v"])
-        for x in bases:
-            y = _canon(x + shift_y, modulus)
-            z = _canon(x + shift_z, modulus)
-            if y in base_set and z in base_set:
-                return {**solution, "x": x, "y": y, "z": z}
-    return None

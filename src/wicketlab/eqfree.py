@@ -416,7 +416,9 @@ def max_free_heuristic(
 
     rng = random.Random(seed)
     current: list = list(baseline)
-    member_set = set(current)
+    members = set(baseline)
+    # the sorted complement of current, kept in step with it
+    outside = [c for c in items if c not in members]
     best: tuple = baseline
     temperature = 1.0
     cooling = 0.995
@@ -425,13 +427,12 @@ def max_free_heuristic(
         temperature = max(temperature * cooling, 1e-9)
         move = rng.choice(("add", "remove", "swap"))
         if move == "add":
-            outside = [c for c in items if c not in member_set]
             if not outside:
                 continue
             cand = rng.choice(outside)
             if has_solution(current, spec, through=cand) is None:
                 bisect.insort(current, cand)
-                member_set.add(cand)
+                del outside[bisect.bisect_left(outside, cand)]
         elif move == "remove":
             if not current:
                 continue
@@ -439,21 +440,18 @@ def max_free_heuristic(
                 continue
             victim = rng.choice(current)
             current.remove(victim)
-            member_set.discard(victim)
+            bisect.insort(outside, victim)
         else:
-            if not current:
-                continue
-            outside = [c for c in items if c not in member_set]
-            if not outside:
+            if not current or not outside:
                 continue
             victim = rng.choice(current)
             cand = rng.choice(outside)
             kept = [c for c in current if c != victim]
             if has_solution(kept, spec, through=cand) is None:
                 current.remove(victim)
-                member_set.discard(victim)
                 bisect.insort(current, cand)
-                member_set.add(cand)
+                del outside[bisect.bisect_left(outside, cand)]
+                bisect.insort(outside, victim)
         if len(current) > len(best):
             best = tuple(current)
 

@@ -296,8 +296,8 @@ def plane_wickets_point_scan(build):
     p + span{(s, 1), (t, 1)}, whose three s-lines and three t-lines are
     the family's edges. Each family yields six wickets, one per omitted
     edge, first for the s-edges, then for the t-edges. The reference
-    for PlaneWickets: its items in order, its edge -> wicket index and,
-    through build_wickets, its witnesses.
+    for PlaneWickets: its items in order and its edge -> wicket index;
+    as a set, the reference for build_wickets.
     """
 
     def add(a, b):

@@ -24,9 +24,8 @@ from wicketlab.construction import (
     build_wickets,
     wicket_dependency_degree,
     wicket_system,
-    wicket_witness,
 )
-from wicketlab.eisenstein import OMEGA, EisensteinPoint, region_points
+from wicketlab.eisenstein import EisensteinPoint, region_points
 from wicketlab.eqfree import has_solution, max_free_exhaustive, modular_equation, ruzsa_equation
 from wicketlab.gf3 import binary_cap, max_cap_exact, product_cap
 from wicketlab.hypergraph import find_63, find_wickets
@@ -194,9 +193,8 @@ def test_criterion_7_cross_module_equivalence():
     region = region_points(1, "coordinate")
     for r in range(1, len(region) + 1):
         for S in combinations(region, r):
-            detected = len(find_wickets(build_eisenstein(S, 1).hypergraph, limit=1)) > 0
-            solvable = wicket_witness(S, region, -1, OMEGA) is not None
-            ok = ok and detected == solvable
+            b = build_eisenstein(S, 1)
+            ok = ok and build_wickets(b) == find_wickets(b.hypergraph)
     free6 = tuple(
         sorted(
             {
@@ -210,11 +208,12 @@ def test_criterion_7_cross_module_equivalence():
         )
     )
     poisoned6 = tuple(sorted(free6 + (EisensteinPoint(-1, -1),)))
-    region2 = region_points(2, "coordinate")
-    ok = ok and wicket_witness(free6, region2, -1, OMEGA) is None
-    ok = ok and find_wickets(build_eisenstein(free6, 2).hypergraph) == []
-    ok = ok and wicket_witness(poisoned6, region2, -1, OMEGA) is not None
-    ok = ok and len(find_wickets(build_eisenstein(poisoned6, 2).hypergraph)) > 0
+    free_build = build_eisenstein(free6, 2)
+    ok = ok and build_wickets(free_build) == []
+    ok = ok and find_wickets(free_build.hypergraph) == []
+    poisoned_build = build_eisenstein(poisoned6, 2)
+    listed = build_wickets(poisoned_build)
+    ok = ok and len(listed) > 0 and listed == find_wickets(poisoned_build.hypergraph)
     _report(7, "cross-module equivalence", ok, time.monotonic() - t0, 60.0)
 
 

@@ -296,6 +296,39 @@ def test_color_f3_lists_no_wickets(monkeypatch, capsys, tmp_path):
         assert capsys.readouterr().out == line
 
 
+def test_build_lists_wickets_without_the_detector(monkeypatch, capsys, tmp_path):
+    # build_wickets solves the wicket system, so building a modular or an
+    # Eisenstein set runs no detector; the counts are the detector's.
+    from wicketlab import construction
+    from wicketlab.eisenstein import EisensteinPoint
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build must not run the detector")
+
+    residues = tmp_path / "k3.txt"
+    residues.write_text("0\n1\n2\n3\n")
+    points = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
+    disc = tmp_path / "points.txt"
+    disc.write_text("".join(f"{a},{b}\n" for a, b in points))
+    runs = (
+        (
+            ["build", "modular", "--k", "3", "--set", str(residues)],
+            construction.build_modular(range(4), 3),
+        ),
+        (
+            ["build", "eisenstein", "--bound", "2", "--set", str(disc)],
+            construction.build_eisenstein(
+                [EisensteinPoint(a, b) for a, b in points], 2
+            ),
+        ),
+    )
+    counts = [len(construction.find_wickets(b.hypergraph)) for _, b in runs]
+    monkeypatch.setattr(construction, "find_wickets", refuse)
+    for (argv, _build), count in zip(runs, counts):
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["wickets"] == count > 0
+
+
 def test_search_ruzsa_exhaustive():
     res = run_cli("search", "ruzsa", "--n", "10", "--mode", "exhaustive")
     assert res.returncode == 0

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,6 @@ from wicketlab.construction import (
     plane_wicket_counts,
     wicket_dependency_degree,
     wicket_system,
-    wicket_witness,
     wickets_by_edge,
 )
 from wicketlab.eisenstein import EisensteinPoint, OMEGA, ROT60, ZERO, region_points
@@ -119,19 +119,22 @@ def _plane_test_caps():
 
 
 def test_plane_wickets_match_point_scan_in_order():
+    # build_wickets lists a GF(3) build in find_wickets order, the point
+    # scan in plane-family order: the same wickets, counted by formula.
     for cap in _plane_test_caps():
         b = build_f3(cap)
         wickets = build_wickets(b)
-        assert wickets == plane_wickets_point_scan(b), cap
+        if cap.dimension <= 3:
+            assert wickets == find_wickets(b.hypergraph), cap
+        assert set(wickets) == set(plane_wickets_point_scan(b)), cap
         m, n = len(cap), cap.dimension
         assert len(wickets) == 6 * math.comb(m, 2) * 3 ** (n - 1)
 
 
 def test_plane_wickets_match_wicket_list():
-    # The flat family storage against the independent point scan (the
-    # witnesses are compared through build_wickets above): edge ids per
-    # index and edge -> wicket indices, so the coloring is the one the
-    # listed wickets give.
+    # The flat family storage against the independent point scan, in
+    # plane-family order: edge ids per index and edge -> wicket indices,
+    # so the coloring is the one the listed wickets give.
     for cap in _plane_test_caps():
         b = build_f3(cap)
         scan = plane_wickets_point_scan(b)
@@ -255,30 +258,33 @@ def test_modular_witness_equivalence_exhaustive():
 
     for k in (2, 3):
         n = k * k - k + 1
+        spec = wicket_system(k, n)
         for r in range(1, n + 1):
             for S in combinations(range(n), r):
                 build = build_modular(S, k)
-                detected = len(find_wickets(build.hypergraph, limit=1)) > 0
-                witness = wicket_witness(S, range(n), 1, k, n)
-                assert detected == (witness is not None), (k, S)
+                wickets = build_wickets(build)
+                assert wickets == find_wickets(build.hypergraph), (k, S)
+                assert bool(wickets) == (has_solution(S, spec) is not None)
 
 
 def test_modular_witness_points_at_real_wicket():
+    # Every listed wicket carries the construction labelling of the
+    # system: columns (x, s), (y, u) and rows (x, w), (y, t), (z, v).
     for k, S in ((2, K2_POISONED), (3, K3_POISONED), (3, (0, 1, 4))):
-        n = k * k - k + 1
         build = build_modular(S, k)
-        d = wicket_witness(S, range(n), 1, k, n)
-        assert d is not None
+        wickets = build_wickets(build)
+        assert wickets and wickets == find_wickets(build.hypergraph)
         edge_of = {pair: idx for idx, pair in enumerate(provenance(build))}
-        ids = {
-            edge_of[(d["x"], d["s"])],
-            edge_of[(d["y"], d["u"])],
-            edge_of[(d["x"], d["w"])],
-            edge_of[(d["y"], d["t"])],
-            edge_of[(d["z"], d["v"])],
-        }
-        assert len(ids) == 5
-        assert ids in {frozenset(w.edge_ids) for w in find_wickets(build.hypergraph)}
+        for wit in wickets:
+            d = decode_wicket(build, wit)
+            ids = {
+                edge_of[(d["x"], d["s"])],
+                edge_of[(d["y"], d["u"])],
+                edge_of[(d["x"], d["w"])],
+                edge_of[(d["y"], d["t"])],
+                edge_of[(d["z"], d["v"])],
+            }
+            assert ids == set(wit.edge_ids)
 
 
 def test_modular_decode_satisfies_system():
@@ -302,43 +308,82 @@ def test_eisenstein_witness_equivalence_small_region():
     for r in range(1, len(region) + 1):
         for S in combinations(region, r):
             build = build_eisenstein(S, 1)
-            detected = len(find_wickets(build.hypergraph, limit=1)) > 0
-            witness = wicket_witness(S, region, -1, OMEGA)
-            assert detected == (witness is not None), S
+            assert build_wickets(build) == find_wickets(build.hypergraph), S
 
 
 def test_eisenstein_witness_fixture_pair():
-    region = region_points(2, "coordinate")
-    assert wicket_witness(EIS_FREE, region, -1, OMEGA) is None
-    d = wicket_witness(EIS_POISONED, region, -1, OMEGA)
-    assert d is not None
-    assert d["s"] - d["t"] - OMEGA * d["u"] + OMEGA * d["w"] == ZERO
-    assert ROT60 * d["s"] - d["t"] + d["u"] - ROT60 * d["v"] == ZERO
-    assert d["y"] == d["x"] - d["s"] + d["t"]
-    assert d["z"] == d["x"] + OMEGA * (d["s"] - d["v"])
-    for base in ("x", "y", "z"):
-        assert d[base] in region
+    assert build_wickets(build_eisenstein(EIS_FREE, 2)) == []
+    build = build_eisenstein(EIS_POISONED, 2)
+    wickets = build_wickets(build)
+    assert wickets and wickets == find_wickets(build.hypergraph)
+    for wit in wickets:
+        d = decode_wicket(build, wit)
+        assert d["s"] - d["t"] - OMEGA * d["u"] + OMEGA * d["w"] == ZERO
+        assert ROT60 * d["s"] - d["t"] + d["u"] - ROT60 * d["v"] == ZERO
+        assert d["y"] == d["x"] - d["s"] + d["t"]
+        assert d["z"] == d["x"] + OMEGA * (d["s"] - d["v"])
+        for base in ("x", "y", "z"):
+            assert d[base] in build.bases
 
 
 def test_eisenstein_solution_without_feasible_base():
     """Directions outside the disc can solve the system while no base
     keeps all three anchor points inside; such sets stay wicket-free,
-    which is why the witness oracle filters through base feasibility."""
+    which is why build_wickets keeps only solutions with three bases."""
     from itertools import combinations
 
     pool = region_points(3, "ring")
-    region = region_points(1, "coordinate")
     spec = wicket_system(-OMEGA)
     cases = []
     for r in (2, 3):
         for S in combinations(pool, r):
             if has_solution(S, spec) is None:
                 continue
-            if wicket_witness(S, region, -1, OMEGA) is None:
+            if build_wickets(build_eisenstein(S, 1)) == []:
                 cases.append(S)
     assert cases, "expected direction-feasible, base-infeasible sets"
     for S in cases[:6]:
         assert find_wickets(build_eisenstein(S, 1).hypergraph) == []
+
+
+def test_build_wickets_matches_detector_seeded():
+    # The solved list against the detector, order included, on seeded
+    # sets of all three families; sets need not be progression-free.
+    rng = random.Random(18)
+    builds = []
+    for k in range(2, 8):
+        n = k * k - k + 1
+        for _ in range(8):
+            S = rng.sample(range(n), rng.randint(0, min(n, 9)))
+            builds.append(build_modular(S, k))
+    for bound in range(4):
+        for norm in ("coordinate", "ring"):
+            pool = region_points(bound + 2, norm)
+            for _ in range(5):
+                S = rng.sample(pool, rng.randint(0, min(len(pool), 7)))
+                builds.append(build_eisenstein(S, bound, norm=norm))
+    builds += [build_f3(_random_cap(rng, n)) for n in (1, 2, 3) for _ in range(4)]
+    wicketed = 0
+    for b in builds:
+        wickets = build_wickets(b)
+        assert wickets == find_wickets(b.hypergraph), b.directions
+        wicketed += bool(wickets)
+    assert wicketed >= len(builds) // 4
+
+
+def test_one_point_eisenstein_lists_no_wickets_in_little_memory():
+    # With one direction, u = v = w forces s = t, which repeats an edge,
+    # so the lister visits none of the 6293 bases. The detector's
+    # incidence masks for this build took about 12 MiB.
+    b = build_eisenstein([EisensteinPoint(1, 0)], 2000)
+    tracemalloc.start()
+    try:
+        wickets = build_wickets(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wickets == []
+    assert peak < 2**20
 
 
 def test_dependency_degree_bound():
