@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage or input-parse errors, a path that
-cannot be read or written, and a stdout closed before all output was
-written, 2 verification failures (a progression found in a claimed cap,
-a census counterexample, a color class still holding a wicket because
-the wicket list was incomplete), 3 exhausted resample budgets. The
+Exit codes: 0 success, 1 usage errors, any OSError or ValueError (an
+input file that cannot be parsed, a path that cannot be read or
+written, a domain beyond its size guard) and a stdout closed before all
+output was written, 2 verification failures and any other package error
+(a progression found in a claimed cap, a census counterexample, a color
+class still holding a wicket the lister missed), 3 exhausted resample
+budgets. The
 output files of `build`, `color` and `census` are opened before any
 work starts. All outputs are deterministic for fixed inputs and seeds;
 JSON objects are printed with sorted keys.
@@ -22,11 +24,9 @@ from typing import Optional
 from . import _MODULES, __getattr__ as _package_getattr
 from .errors import (
     MAX_DOMAIN_SIZE,
-    CapFileError,
     CapVerificationError,
     ColoringBudgetError,
     DomainTooLargeError,
-    SetFileError,
     WicketlabError,
 )
 
@@ -210,18 +210,9 @@ def cmd_color(args) -> int:
     _bind("coloring", "construction", "hypergraph")
     with ExitStack() as stack:
         (out,) = _open_outputs(stack, args.out)
-        build, _n, set_size = _make_build(args)
+        build = _make_build(args)[0]
         h = build.hypergraph
-        if build.plane_families:
-            # colored from the plane families; no wicket list is built
-            wickets = None
-            wicket_count = plane_wicket_counts(build)[0]
-        else:
-            wickets = build_wickets(build)
-            wicket_count = len(wickets)
-        selection = color_edges(
-            build, seed=args.seed, attempts=args.attempts, wickets=wickets
-        )
+        selection = color_edges(build, seed=args.seed, attempts=args.attempts)
         k = selection.coloring.color_count
         payload = {
             "k": k,
@@ -232,7 +223,7 @@ def cmd_color(args) -> int:
             "selected_edges": len(selection.edge_ids),
             "total_edges": h.edge_count,
             "lower_bound": -(-h.edge_count // k),
-            "wickets": wicket_count,
+            "wickets": selection.coloring.wickets,
         }
         if out:
             out.write(write_hypergraph_text(selection.hypergraph))
@@ -520,21 +511,12 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise  # console_main quiets a closed stdout
-    except (
-        CapFileError,
-        SetFileError,
-        DomainTooLargeError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # incl. file and domain errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ColoringBudgetError as exc:
         _emit({"error": "budget-exhausted", **exc.diagnostics})
         return 3
-    except CapVerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WicketlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,16 +7,16 @@ monochromatic wicket; under the usual local-lemma accounting each bad
 event depends on few others, so the repair loop terminates quickly.
 Attempts are capped; each failed attempt reseeds deterministically.
 
-A GF(3) build is colored from its plane families, kept as one flat
-array of edge ids (PlaneWickets), so no wicket object is built; a wicket
-list, passed in or listed by build_wickets for the other families, is
-indexed by wickets_by_edge.
+The wickets come from the build itself: a GF(3) build is colored from
+its plane families, kept as one flat array of edge ids (PlaneWickets),
+so no wicket object is built; any other build's wickets are listed by
+build_wickets and indexed by wickets_by_edge.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .construction import (
     PlaneWickets,
@@ -25,7 +25,7 @@ from .construction import (
     wickets_by_edge,
 )
 from .errors import ColoringBudgetError, IncompleteWicketListError
-from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
+from .hypergraph import TripartiteHypergraph, find_wickets
 
 RESAMPLE_FACTOR = 100
 SEED_STRIDE = 1000003
@@ -37,6 +37,7 @@ class EdgeColoring(NamedTuple):
     seed: int
     attempt: int
     resamples: int
+    wickets: int  # the wickets resampled against
 
 
 class ColorClassSelection:
@@ -64,38 +65,30 @@ def _monochromatic(colors: list, edge_ids: tuple) -> bool:
     return True
 
 
-def color_edges(
-    build,
-    seed: int = 0,
-    attempts: int = 8,
-    wickets: Optional[Sequence[WicketWitness]] = None,
-) -> ColorClassSelection:
+def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
     """Color the build's edges so no wicket is monochromatic, then
     return the largest color class (re-checked wicket-free).
 
-    Without `wickets`, a GF(3) build is colored from its plane families,
-    whose wicket order is not that of build_wickets(build), so passing
-    that list can give another coloring; any other build's wickets come
-    from build_wickets.
+    A GF(3) build is colored from its plane families (PlaneWickets), any
+    other build from build_wickets(build).
 
     Deterministic per (seed, attempts): attempt i uses the child seed
     seed * 1000003 + i. Raises ColoringBudgetError when every attempt
     exceeds 100 * (wicket count + 1) resamples,
     IncompleteWicketListError when the chosen class still holds a
-    wicket, which means the `wickets` passed in were not all of them,
-    and ValueError when attempts is below 1.
+    wicket, which means the wicket lister missed one, and ValueError
+    when attempts is below 1.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
     h = build.hypergraph
-    if wickets is None and build.plane_families:
+    if build.plane_families:
         wickets = PlaneWickets(build)
         containing = wickets.containing
     else:
-        if wickets is None:
-            wickets = build_wickets(build)
-        by_edge = wickets_by_edge(wickets)
-        wickets = [witness.edge_ids for witness in wickets]
+        listed = build_wickets(build)
+        by_edge = wickets_by_edge(listed)
+        wickets = [witness.edge_ids for witness in listed]
 
         def containing(edge: int):
             return by_edge.get(edge, ())
@@ -140,6 +133,7 @@ def color_edges(
             seed=seed,
             attempt=attempt,
             resamples=used,
+            wickets=len(wickets),
         )
         counts = [0] * k
         for c in colors:
@@ -154,7 +148,7 @@ def color_edges(
         if leftover:
             raise IncompleteWicketListError(
                 "selected color class still contains a wicket; "
-                "the wicket list passed in must have been incomplete"
+                "the wicket list must have been incomplete"
             )
         return ColorClassSelection(
             coloring=coloring,

@@ -22,9 +22,10 @@ row/column incidences force
 
 A solution yields a wicket exactly when eight side inequalities hold
 and the three bases exist; the inequalities say the five edges are
-pairwise distinct and the rows and columns are disjoint. The system is
-exported as an EquationSpec whose triviality rule is "some inequality
-fails", so eqfree.has_solution decides direction feasibility, and
+pairwise distinct and the rows and columns are disjoint, and under R0
+and R1 they all hold unless s = t, s = w or t = u. The system is
+exported as an EquationSpec whose triviality rule is "one of these
+equalities", so eqfree.has_solution decides direction feasibility, and
 build_wickets lists every family's wickets from it in closed form.
 
 Over GF(3) the wickets also come in plane families: the lifted lines of
@@ -369,25 +370,18 @@ def wicket_system(lam, modulus: Optional[int] = None) -> EquationSpec:
 
     Degeneracy: any failed side inequality collapses two of the five
     edges or makes two parallel edges share a vertex, so such solutions
-    do not correspond to wickets and count as trivial.
+    do not correspond to wickets and count as trivial. Under R0 and R1
+    the eight inequalities fail exactly when s = t, s = w or t = u (see
+    build_wickets); solution values come reduced mod m, so equality is
+    the check.
     """
-    from .eqfree import EquationSpec, _is_zero
+    from .eqfree import EquationSpec
 
     lam2 = lam * lam
 
     def degenerate(assign: dict) -> bool:
-        s, t, u, v, w = (assign[name] for name in "stuvw")
-        checks = (
-            s - t,  # columns share their A vertex
-            s - v,  # rows 1,3 share their A vertex
-            s - w,  # column 1 equals row 1
-            t - u,  # column 2 equals row 2
-            lam * w - s - lam2 * t,  # rows 1,2 share their C vertex
-            w - lam * s + lam2 * v,  # rows 1,3 share their B vertex
-            lam2 * s - lam * v + t,  # rows 2,3 share their A vertex
-            lam2 * s - lam * u + t,  # columns share their C vertex
-        )
-        return any(_is_zero(c, modulus) for c in checks)
+        s, t = assign["s"], assign["t"]
+        return s == t or s == assign["w"] or t == assign["u"]
 
     if modulus is None:
         name = "wicket directions over the Eisenstein lattice"

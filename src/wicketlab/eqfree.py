@@ -462,22 +462,13 @@ def max_free_heuristic(
     )
 
 
-def max_triangle_free(
-    bound: int,
-    norm: str = "coordinate",
-    seed: int = 0,
-    budget: int = 2000,
-) -> SearchResult:
-    """Largest equilateral-free subset of a lattice disc.
-
-    Exact for regions up to TRIANGLE_EXHAUSTIVE_LIMIT points, heuristic
-    above.
-    """
-    region = region_points(bound, norm=norm)
-    spec = equilateral_equation()
-    if len(region) <= TRIANGLE_EXHAUSTIVE_LIMIT:
-        return max_free_exhaustive(
-            region, spec, max_domain=TRIANGLE_EXHAUSTIVE_LIMIT
-        )
-    return max_free_heuristic(region, spec, seed=seed, budget=budget)
+def max_triangle_free(bound: int, norm: str = "coordinate") -> SearchResult:
+    """Largest equilateral-free subset of a lattice disc, by exhaustive
+    search; a region of more than TRIANGLE_EXHAUSTIVE_LIMIT points
+    raises DomainTooLargeError (max_free_heuristic searches those)."""
+    return max_free_exhaustive(
+        region_points(bound, norm=norm),
+        equilateral_equation(),
+        max_domain=TRIANGLE_EXHAUSTIVE_LIMIT,
+    )
 

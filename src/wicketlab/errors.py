@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: cap and set files that cannot be
-parsed and domains beyond a size guard exit 1, verification failures
-(including a coloring whose wicket list proves incomplete) exit 2,
-exhausted budgets exit 3.
+The CLI maps these onto exit codes by base class: the ValueErrors (cap
+and set files that cannot be parsed, domains beyond a size guard,
+mismatched dimensions) exit 1, ColoringBudgetError exits 3, and every
+other WicketlabError exits 2; these are the verification failures,
+including a color class still holding a wicket the lister missed.
 """
 
 from __future__ import annotations
@@ -69,5 +70,5 @@ class ColoringBudgetError(WicketlabError):
 
 
 class IncompleteWicketListError(WicketlabError):
-    """A color class left wicket-free by the given wicket list still
+    """A color class left wicket-free by the build's wicket list still
     contains a wicket, so that list was incomplete."""

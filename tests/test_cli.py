@@ -244,9 +244,11 @@ def test_color_budget_exhaustion_maps_to_exit_3(monkeypatch, capsys):
 def test_incomplete_wicket_list_maps_to_exit_2(monkeypatch, capsys, tmp_path):
     # With no wickets to repair, the chosen class of seed 4 keeps one of
     # the 14 wickets of {0, 3, 6} mod 7, which the final re-check reports.
+    from wicketlab import coloring
+
     path = tmp_path / "s036.txt"
     path.write_text("0\n3\n6\n")
-    monkeypatch.setattr(cli, "build_wickets", lambda build: [])
+    monkeypatch.setattr(coloring, "build_wickets", lambda build: [])
     code = cli.main(
         ["color", "modular", "--k", "3", "--set", str(path), "--seed", "4"]
     )
@@ -277,10 +279,12 @@ def test_build_f3_counts_without_enumeration(monkeypatch, capsys, tmp_path):
 def test_color_f3_lists_no_wickets(monkeypatch, capsys, tmp_path):
     # GF(3) builds are colored from their plane families, so the wicket
     # list must not be built; the lines are those of the listed wickets.
+    from wicketlab import coloring
+
     def refuse(*args):
         raise AssertionError("color f3 must not list wickets")
 
-    monkeypatch.setattr(cli, "build_wickets", refuse)
+    monkeypatch.setattr(coloring, "build_wickets", refuse)
     expected = {
         4: '{"attempt": 0, "color": 3, "k": 7, "lower_bound": 186, '
         '"resamples": 10, "seed": 0, "selected_edges": 205, '
@@ -294,6 +298,30 @@ def test_color_f3_lists_no_wickets(monkeypatch, capsys, tmp_path):
         path.write_text("".join(f"{v:0{n}b}\n" for v in range(2**n)))
         assert cli.main(["color", "f3", "--cap", str(path), "--seed", "0"]) == 0
         assert capsys.readouterr().out == line
+
+
+def test_color_modular_lists_wickets_once(monkeypatch, capsys, tmp_path):
+    # color_edges lists the build's wickets itself, once; the command
+    # lists none of its own.
+    from wicketlab import coloring
+
+    def refuse(*args):
+        raise AssertionError("color must list wickets only in color_edges")
+
+    listed = []
+    lister = coloring.build_wickets
+
+    def counted(build):
+        listed.append(build)
+        return lister(build)
+
+    monkeypatch.setattr(cli, "build_wickets", refuse)
+    monkeypatch.setattr(coloring, "build_wickets", counted)
+    path = tmp_path / "s036.txt"
+    path.write_text("0\n3\n6\n")
+    assert cli.main(["color", "modular", "--k", "3", "--set", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["wickets"] == 14
+    assert len(listed) == 1
 
 
 def test_build_lists_wickets_without_the_detector(monkeypatch, capsys, tmp_path):

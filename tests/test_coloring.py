@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
+from wicketlab import coloring
 from wicketlab.coloring import color_edges, colors_needed
-from wicketlab.construction import build_f3, build_modular, build_wickets
+from wicketlab.construction import build_f3, build_modular
 from wicketlab.errors import ColoringBudgetError, IncompleteWicketListError
 from wicketlab.gf3 import binary_cap, max_cap_exact
 from wicketlab.hypergraph import WicketWitness, find_wickets
@@ -56,13 +57,14 @@ def test_color_edges_wicket_free_build_trivial():
     assert find_wickets(sel.hypergraph) == []
 
 
-def test_color_edges_budget_exhaustion_diagnostics():
-    b = build_f3(max_cap_exact(1))
+def test_color_edges_budget_exhaustion_diagnostics(monkeypatch):
+    b = build_modular((0, 1, 3), 3)
     # a degenerate "wicket" naming one edge five times can never become
     # polychromatic, so every attempt must exhaust its budget
     stuck = WicketWitness((0, 0, 0), (0, 0))
+    monkeypatch.setattr(coloring, "build_wickets", lambda build: [stuck])
     with pytest.raises(ColoringBudgetError) as info:
-        color_edges(b, seed=0, attempts=3, wickets=[stuck])
+        color_edges(b, seed=0, attempts=3)
     diag = info.value.diagnostics
     assert diag["attempts"] == 3
     assert diag["wickets"] == 1
@@ -78,19 +80,18 @@ def test_color_edges_rejects_attempts_below_1(attempts):
         color_edges(b, seed=0, attempts=attempts)
 
 
-def test_color_edges_attempt_reseeding_is_stable():
-    b = build_f3(binary_cap(2))
-    wickets = build_wickets(b)
-    first = color_edges(b, seed=9, wickets=wickets)
-    again = color_edges(b, seed=9, wickets=list(wickets))
-    assert first.coloring.attempt == again.coloring.attempt
-    assert first.coloring.resamples == again.coloring.resamples
+def test_color_edges_rejects_incomplete_wicket_list(monkeypatch):
+    # an empty index leaves seed 2's chosen class with a wicket
+    class NoWickets(list):
+        def __init__(self, build):
+            super().__init__()
 
+        def containing(self, edge):
+            return ()
 
-def test_color_edges_rejects_incomplete_wicket_list():
-    # an empty list leaves seed 2's chosen class with a wicket
+    monkeypatch.setattr(coloring, "PlaneWickets", NoWickets)
     with pytest.raises(IncompleteWicketListError):
-        color_edges(build_f3(binary_cap(2)), seed=2, wickets=[])
+        color_edges(build_f3(binary_cap(2)), seed=2)
 
 
 def test_color_f3_memory_stays_small():

@@ -6,8 +6,10 @@ import tracemalloc
 
 import pytest
 
+from wicketlab import coloring
 from wicketlab.coloring import color_edges, colors_needed
 from wicketlab.construction import (
+    Build,
     PlaneWickets,
     build_eisenstein,
     build_f3,
@@ -131,13 +133,17 @@ def test_plane_wickets_match_point_scan_in_order():
         assert len(wickets) == 6 * math.comb(m, 2) * 3 ** (n - 1)
 
 
-def test_plane_wickets_match_wicket_list():
+def test_plane_wickets_match_wicket_list(monkeypatch):
     # The flat family storage against the independent point scan, in
     # plane-family order: edge ids per index and edge -> wicket indices,
-    # so the coloring is the one the listed wickets give.
+    # so the coloring is the one the listed wickets give. The listed
+    # coloring is that of the same build without plane families, whose
+    # wickets color_edges takes from build_wickets, patched to the scan.
     for cap in _plane_test_caps():
         b = build_f3(cap)
         scan = plane_wickets_point_scan(b)
+        listed = Build(b.directions, b.bases, b.hypergraph, b.ring, False)
+        monkeypatch.setattr(coloring, "build_wickets", lambda build: scan)
         plane = PlaneWickets(b)
         assert len(plane) == len(scan), cap
         # iteration stops at the IndexError one past the end
@@ -153,7 +159,7 @@ def test_plane_wickets_match_wicket_list():
         assert by_edge == wickets_by_edge(scan), cap
         for seed in range(5):
             one = color_edges(b, seed=seed)
-            two = color_edges(b, seed=seed, wickets=scan)
+            two = color_edges(listed, seed=seed)
             assert one.coloring == two.coloring, (cap, seed)
             assert (one.color, one.edge_ids) == (two.color, two.edge_ids)
 
