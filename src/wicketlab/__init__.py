@@ -37,7 +37,6 @@ _MODULES = {
     "EdgeColoring": "coloring",
     "color_edges": "coloring",
     "Build": "construction",
-    "PlaneWickets": "construction",
     "build_eisenstein": "construction",
     "build_f3": "construction",
     "build_modular": "construction",
@@ -47,6 +46,7 @@ _MODULES = {
     "parse_int_set_text": "construction",
     "plane_wicket_counts": "construction",
     "wicket_dependency_degree": "construction",
+    "wicket_families": "construction",
     "wicket_system": "construction",
     "EisensteinPoint": "eisenstein",
     "OMEGA": "eisenstein",

@@ -7,23 +7,18 @@ monochromatic wicket; under the usual local-lemma accounting each bad
 event depends on few others, so the repair loop terminates quickly.
 Attempts are capped; each failed attempt reseeds deterministically.
 
-The wickets come from the build itself: a GF(3) build is colored from
-its plane families, kept as one flat array of edge ids (PlaneWickets),
-so no wicket object is built; any other build's wickets are listed by
-build_wickets and indexed by wickets_by_edge.
+The wickets come from the build itself, as families of edges any five
+of which form a wicket (wicket_families): the six edges of an affine
+plane in a GF(3) build, one wicket of build_wickets otherwise.
 """
 
 from __future__ import annotations
 
 import random
+from math import comb
 from typing import NamedTuple
 
-from .construction import (
-    PlaneWickets,
-    build_wickets,
-    colors_needed,
-    wickets_by_edge,
-)
+from .construction import colors_needed, wicket_families
 from .errors import ColoringBudgetError, IncompleteWicketListError
 from .hypergraph import TripartiteHypergraph, find_wickets
 
@@ -57,20 +52,21 @@ class ColorClassSelection:
         self.hypergraph = hypergraph
 
 
-def _monochromatic(colors: list, edge_ids: tuple) -> bool:
-    first = colors[edge_ids[0]]
-    for e in edge_ids:
-        if colors[e] != first:
-            return False
-    return True
+def _shared(hues: tuple) -> tuple:
+    """(c, n) for the colors of a family's edges: n of them are c, and
+    if five or more share a color, it is c."""
+    # of five or more equal colors, two are among the first three
+    c = hues[0] if hues[0] == hues[1] else hues[2]
+    return c, hues.count(c)
 
 
 def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
     """Color the build's edges so no wicket is monochromatic, then
     return the largest color class (re-checked wicket-free).
 
-    A GF(3) build is colored from its plane families (PlaneWickets), any
-    other build from build_wickets(build).
+    A family holds a monochromatic wicket when five of its edges share a
+    color; the lowest is the last five edges of that color, and the
+    lowest of all lies in the lowest such family, which is resampled.
 
     Deterministic per (seed, attempts): attempt i uses the child seed
     seed * 1000003 + i. Raises ColoringBudgetError when every attempt
@@ -82,48 +78,44 @@ def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
     h = build.hypergraph
-    if build.plane_families:
-        wickets = PlaneWickets(build)
-        containing = wickets.containing
-    else:
-        listed = build_wickets(build)
-        by_edge = wickets_by_edge(listed)
-        wickets = [witness.edge_ids for witness in listed]
-
-        def containing(edge: int):
-            return by_edge.get(edge, ())
-
+    size, edges, starts, ids = wicket_families(build)
+    wickets = len(edges) // size * comb(size, 5)
     m = h.edge_count
     k = colors_needed(len(build.directions))
 
-    budget = RESAMPLE_FACTOR * (len(wickets) + 1)
+    budget = RESAMPLE_FACTOR * (wickets + 1)
     total_resamples = 0
-    last_violated = 0
+
+    def hues(f: int) -> tuple:  # family f's edge colors in this attempt
+        return tuple(map(colors.__getitem__, edges[f * size : (f + 1) * size]))
 
     for attempt in range(attempts):
         rng = random.Random(seed * SEED_STRIDE + attempt)
         colors = [rng.randrange(k) for _ in range(m)]
+        # One map over all edges, cut into runs of `size` colors by zip.
+        # Five equal colors leave at most one other among the first four.
+        runs = zip(*[map(colors.__getitem__, edges)] * size)
         violated = {
-            idx
-            for idx, ids in enumerate(wickets)
-            if _monochromatic(colors, ids)
+            f
+            for f, run in enumerate(runs)
+            if (run[0] == run[1] or run[2] == run[3]) and _shared(run)[1] >= 5
         }
         used = 0
         while violated and used < budget:
-            ids = wickets[min(violated)]
-            for e in ids:
+            f = min(violated)
+            c = _shared(hues(f))[0]
+            run = edges[f * size : (f + 1) * size]
+            chosen = [e for e in run if colors[e] == c][-5:]
+            for e in chosen:
                 colors[e] = rng.randrange(k)
             used += 1
-            affected: set = set()
-            for e in ids:
-                affected.update(containing(e))
-            for idx in affected:
-                if _monochromatic(colors, wickets[idx]):
-                    violated.add(idx)
+            affected = {g for e in chosen for g in ids[starts[e] : starts[e + 1]]}
+            for g in affected:
+                if _shared(hues(g))[1] >= 5:
+                    violated.add(g)
                 else:
-                    violated.discard(idx)
+                    violated.discard(g)
         total_resamples += used
-        last_violated = len(violated)
         if violated:
             continue
 
@@ -133,7 +125,7 @@ def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
             seed=seed,
             attempt=attempt,
             resamples=used,
-            wickets=len(wickets),
+            wickets=wickets,
         )
         counts = [0] * k
         for c in colors:
@@ -161,10 +153,10 @@ def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
         {
             "attempts": attempts,
             "resamples": total_resamples,
-            "violated": last_violated,
+            "violated": sum(comb(_shared(hues(f))[1], 5) for f in violated),
             "budget_per_attempt": budget,
             "colors": k,
-            "wickets": len(wickets),
+            "wickets": wickets,
             "seed": seed,
         }
     )

@@ -31,15 +31,17 @@ build_wickets lists every family's wickets from it in closed form.
 Over GF(3) the wickets also come in plane families: the lifted lines of
 two directions s, t span one affine plane per coset of <t - s>, and
 the six edges in such a plane carry six wickets (one per omitted edge).
-PlaneWickets keeps each such family as six edge ids in one flat array.
-The wicket count, 3^n * m * (m - 1) for m directions, and the
-dependency degree, 25m - 45, follow by formula (plane_wicket_counts).
+wicket_families keeps each such family as six edge ids in one flat
+array, and any other build's wickets as families of five, with one
+by-edge index for both. The wicket count, 3^n * m * (m - 1) for m
+directions, and the dependency degree, 25m - 45, follow by formula
+(plane_wicket_counts).
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -233,87 +235,96 @@ def build_wickets(build: Build) -> list:
     return [WicketWitness(rows, cols) for cols, rows in sorted(found)]
 
 
-class PlaneWickets:
-    """The wickets of a GF(3) build, read from its plane families.
+def wicket_families(build: Build) -> tuple:
+    """The build's wickets as families: (size, edges, starts, ids).
 
-    For directions s before t, the lifted lines (s, 1) and (t, 1) span
-    one affine plane per coset L of <t - s> in F_3^n; its construction
-    edges are (a, s) and (a, t) for a in L, with edge id
-    direction index * 3^n + encode(a). The plane meets lifted
-    coordinate r in L + r*s, so the families of one pair are listed by
-    the least encode of their plane, min(3 * encode(x + r*s) + r).
+    Family f is edges[size * f : size * (f + 1)], ascending edge ids in
+    one flat array, and each of its C(size, 5) five-edge subsets is a
+    wicket; ids[starts[e] : starts[e + 1]] are the families through edge
+    e, ascending. A GF(3) build has six edges a family, one family per
+    affine plane (below), so wicket 6f + r is family f without the edge
+    at 6f + r, and every edge is in m - 1 families. Any other build has
+    one family per wicket of build_wickets(build), in its order, with
+    the families of each edge gathered in one bucket per edge. In both,
+    starts and ids are arrays too, and the lowest wicket is in the
+    lowest family, so family order is wicket order.
 
-    Family f is edges[6f : 6f + 6] of one flat array: its s-edges, then
-    its t-edges, each ascending. Item 6f + r is the family without the
-    edge at 6f + r, so items are ascending edge-id arrays, and
-    containing(e) lists the wickets of edge e.
+    GF(3): for directions s before t, the lifted lines (s, 1) and (t, 1)
+    span one affine plane per coset L of <t - s> in F_3^n; its
+    construction edges are (a, s) and (a, t) for a in L, with edge id
+    direction index * 3^n + encode(a). The plane meets lifted coordinate
+    r in L + r*s, so the families of one pair are listed by the least
+    encode of their plane, min(3 * encode(x + r*s) + r). A family holds
+    its s-edges, then its t-edges, each ascending.
     """
+    from array import array
 
-    def __init__(self, build: Build):
-        # array is an extension module; importing it here keeps it out
-        # of the commands that never list a GF(3) build's wickets
-        from array import array
+    if not build.plane_families:
+        wickets = build_wickets(build)
+        # fromlist converts a list in one C loop; extend would iterate it
+        edges = array("i")
+        for rows, columns in wickets:
+            edges.fromlist(sorted(rows + columns))  # the witness's edge_ids
+        through = _wickets_through(wickets, build.hypergraph.edge_count)
+        starts = array("i", accumulate(map(len, through), initial=0))
+        ids = array("i")
+        for families in through:
+            ids.fromlist(families)
+        return 5, edges, starts, ids
 
-        from .gf3 import f3_sub
+    from .gf3 import f3_sub
 
-        directions = build.directions
-        size = len(build.bases)  # all of F_3^n in encode order
-        # Points stay encoded: plus[i][e] and plus2[i][e] are the encodes
-        # of decode(e) + s and decode(e) + 2s for direction i, so the
-        # coset of x is x, x + t + 2s and x + s + 2t. build_f3 indexes
-        # vertices and bases in encode order, so edge i * 3^n + e is
-        # (e, plus[i][e], plus2[i][e]).
-        lines = build.hypergraph.edges
-        plus, plus2 = [], []
-        for i in range(len(directions)):
-            _, s1, s2 = zip(*lines[i * size : (i + 1) * size])
-            plus.append(s1)
-            plus2.append(s2)
-        # Every edge lies in one family per other direction. Its slot
-        # 6f + r in the family with the q-th other direction is stored
-        # at e * stride + q; those families come in ascending f.
-        self._stride = stride = max(len(directions) - 1, 0)
-        self._slots = slots = array("l", [0]) * (len(lines) * stride)
-        self._edges = edges = array("l")
-        for i, s in enumerate(directions):
-            s1, s2 = plus[i], plus2[i]
-            for j in range(i + 1, len(directions)):
-                t1, t2 = plus[j], plus2[j]
-                step = f3_sub(directions[j], s)
-                lead = next(k for k, x in enumerate(step) if x)
-                place = 3 ** (len(step) - 1 - lead)
-                planes = []
-                for x in range(size):
-                    if (x // place) % 3:
-                        continue  # one coset representative with x[lead] == 0
-                    ids = sorted((x, t1[s2[x]], s1[t2[x]]))
-                    key = min(min(3 * y, 3 * s1[y] + 1, 3 * s2[y] + 2) for y in ids)
-                    planes.append((key, ids))
-                planes.sort()
-                for _, ids in planes:
-                    for first, q in ((i * size, j - 1), (j * size, i)):
-                        for e in ids:
-                            slots[(first + e) * stride + q] = len(edges)
-                            edges.append(first + e)
+    directions = build.directions
+    n_bases = len(build.bases)  # all of F_3^n in encode order
+    # Points stay encoded: plus[i][e] and plus2[i][e] are the encodes
+    # of decode(e) + s and decode(e) + 2s for direction i, so the
+    # coset of x is x, x + t + 2s and x + s + 2t. build_f3 indexes
+    # vertices and bases in encode order, so edge i * 3^n + e is
+    # (e, plus[i][e], plus2[i][e]).
+    lines = build.hypergraph.edges
+    plus, plus2 = [], []
+    for i in range(len(directions)):
+        _, s1, s2 = zip(*lines[i * n_bases : (i + 1) * n_bases])
+        plus.append(s1)
+        plus2.append(s2)
+    # Every edge lies in one family per other direction: the family
+    # with the q-th other direction is at ids[e * stride + q], and
+    # those come in ascending family order.
+    stride = max(len(directions) - 1, 0)
+    starts = array("i", map(stride.__mul__, range(len(lines) + 1)))
+    ids = array("i", [0]) * (len(lines) * stride)
+    edges = array("i")
+    for i, s in enumerate(directions):
+        s1, s2 = plus[i], plus2[i]
+        for j in range(i + 1, len(directions)):
+            t1, t2 = plus[j], plus2[j]
+            step = f3_sub(directions[j], s)
+            lead = next(k for k, x in enumerate(step) if x)
+            place = 3 ** (len(step) - 1 - lead)
+            planes = []
+            for x in range(n_bases):
+                if (x // place) % 3:
+                    continue  # one coset representative with x[lead] == 0
+                points = sorted((x, t1[s2[x]], s1[t2[x]]))
+                key = min(min(3 * y, 3 * s1[y] + 1, 3 * s2[y] + 2) for y in points)
+                planes.append((key, points))
+            planes.sort()
+            for _, points in planes:
+                family = len(edges) // 6
+                for first, q in ((i * n_bases, j - 1), (j * n_bases, i)):
+                    for e in points:
+                        ids[(first + e) * stride + q] = family
+                        edges.append(first + e)
+    return 6, edges, starts, ids
 
-    def __len__(self) -> int:
-        return len(self._edges)
 
-    def __getitem__(self, idx: int):
-        # past the end the slice is empty and del raises IndexError
-        first = idx - idx % 6
-        wicket = self._edges[first : first + 6]
-        del wicket[idx - first]
-        return wicket
-
-    def containing(self, edge: int):
-        """Ascending indices of the wickets holding the edge: the five
-        of each of its families that do not drop it."""
-        start = edge * self._stride
-        for slot in self._slots[start : start + self._stride]:
-            first = slot - slot % 6
-            yield from range(first, slot)
-            yield from range(slot + 1, first + 6)
+def _wickets_through(wickets: Sequence[WicketWitness], edge_count: int) -> list:
+    """through[e]: the ascending indices of the wickets on edge e."""
+    through: list = [[] for _ in range(edge_count)]
+    for f, (rows, columns) in enumerate(wickets):
+        for e in rows + columns:
+            through[e].append(f)
+    return through
 
 
 def plane_wicket_counts(build: Build) -> tuple:
@@ -338,22 +349,14 @@ def plane_wicket_counts(build: Build) -> tuple:
     return len(build.bases) * m * (m - 1), 25 * m - 45
 
 
-def wickets_by_edge(wickets: Sequence[WicketWitness]) -> dict:
-    """Edge id -> ascending indices of the wickets that contain it."""
-    index: dict = {}
-    for idx, witness in enumerate(wickets):
-        for e in witness.rows + witness.columns:
-            index.setdefault(e, []).append(idx)
-    return index
-
-
 def wicket_dependency_degree(wickets: Sequence[WicketWitness]) -> int:
     """Max number of other wickets sharing at least one edge with one."""
-    edge_to = wickets_by_edge(wickets)
+    edge_count = max((max(w.rows + w.columns) for w in wickets), default=-1) + 1
+    through = _wickets_through(wickets, edge_count)
     # every wicket is in its own edges' lists, hence the - 1
     return max(
         (
-            len(set().union(*(edge_to[e] for e in w.rows + w.columns))) - 1
+            len(set().union(*map(through.__getitem__, w.rows + w.columns))) - 1
             for w in wickets
         ),
         default=0,

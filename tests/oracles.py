@@ -9,6 +9,7 @@ call the library's `has_solution`, which other tests check against raw
 scans.
 """
 
+import random
 from itertools import combinations
 
 from wicketlab.hypergraph import (
@@ -296,7 +297,7 @@ def plane_wickets_point_scan(build):
     p + span{(s, 1), (t, 1)}, whose three s-lines and three t-lines are
     the family's edges. Each family yields six wickets, one per omitted
     edge, first for the s-edges, then for the t-edges. The reference
-    for PlaneWickets: its items in order and its edge -> wicket index;
+    for wicket_families: wicket 6f + r is family f without its edge r;
     as a set, the reference for build_wickets.
     """
 
@@ -457,6 +458,73 @@ def relabeled(h: TripartiteHypergraph, rng):
     )
     edge_map = {old: new for new, old in enumerate(order)}
     return TripartiteHypergraph(h.class_sizes, new_edges), edge_map
+
+
+# ------------------------------------------------------------- coloring
+
+def wickets_by_edge(wickets) -> dict:
+    """Edge id -> ascending indices of the wickets (edge-id tuples)
+    that contain it."""
+    index: dict = {}
+    for idx, ids in enumerate(wickets):
+        for e in ids:
+            index.setdefault(e, []).append(idx)
+    return index
+
+
+def color_edges_per_wicket(build, wickets, seed=0, attempts=8, factor=100):
+    """The resampler as a loop over single wickets, read from a list.
+
+    `wickets` lists edge-id tuples. Attempt i colors every edge from
+    random.Random(seed * 1000003 + i) with the k colors of the smallest
+    k >= 2 with k^4 >= 120|S|, then, while some wicket is monochromatic
+    and fewer than factor * (len(wickets) + 1) resamples were made,
+    redraws the edges of the lowest-indexed one, in order. Returns
+    ("class", (attempt, resamples, assignment, color, edge ids)) for the
+    largest color class, ties to the lower color, or ("budget",
+    diagnostics) when every attempt runs out.
+    """
+    k = 2
+    while k**4 < 120 * len(build.directions):
+        k += 1
+    m = build.hypergraph.edge_count
+    by_edge = wickets_by_edge(wickets)
+    budget = factor * (len(wickets) + 1)
+    total = 0
+    for attempt in range(attempts):
+        rng = random.Random(seed * 1000003 + attempt)
+        colors = [rng.randrange(k) for _ in range(m)]
+
+        def monochromatic(idx):
+            return len({colors[e] for e in wickets[idx]}) == 1
+
+        violated = {idx for idx in range(len(wickets)) if monochromatic(idx)}
+        used = 0
+        while violated and used < budget:
+            ids = wickets[min(violated)]
+            for e in ids:
+                colors[e] = rng.randrange(k)
+            used += 1
+            for idx in {i for e in ids for i in by_edge[e]}:
+                if monochromatic(idx):
+                    violated.add(idx)
+                else:
+                    violated.discard(idx)
+        total += used
+        if not violated:
+            counts = [colors.count(c) for c in range(k)]
+            best = max(range(k), key=lambda c: (counts[c], -c))
+            chosen = tuple(e for e in range(m) if colors[e] == best)
+            return "class", (attempt, used, tuple(colors), best, chosen)
+    return "budget", {
+        "attempts": attempts,
+        "resamples": total,
+        "violated": len(violated),
+        "budget_per_attempt": budget,
+        "colors": k,
+        "wickets": len(wickets),
+        "seed": seed,
+    }
 
 
 # --------------------------------------------------------------- census

@@ -17,12 +17,12 @@ from itertools import combinations
 from wicketlab.census import grid_system, minimal_free_example, run_census
 from wicketlab.coloring import color_edges, colors_needed
 from wicketlab.construction import (
-    PlaneWickets,
     build_eisenstein,
     build_f3,
     build_modular,
     build_wickets,
     wicket_dependency_degree,
+    wicket_families,
     wicket_system,
 )
 from wicketlab.eisenstein import EisensteinPoint, region_points
@@ -119,7 +119,8 @@ def test_criterion_4_construction_invariants():
         ok = ok and is_linear(h)
         ok = ok and find_63(h) == []
         ok = ok and h.edge_count == 3 ** n * size
-        ok = ok and len(PlaneWickets(b)) == 6 * families
+        family_size, edges, _, _ = wicket_families(b)
+        ok = ok and family_size == 6 and len(edges) == 6 * families
         plane = build_wickets(b)
         ok = ok and len(plane) == wickets
         brute = {frozenset(w.edge_ids) for w in find_wickets(h)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -229,6 +230,63 @@ def test_color_f3_golden(tmp_path):
     )
 
 
+def _color_golden(capsys, tmp_path, args, stdout, class_digest):
+    out = tmp_path / "class.txt"
+    assert cli.main(["color", *args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == class_digest
+
+
+def test_color_modular_golden(capsys, tmp_path):
+    # The wickets of {0, 3, ..., 42} mod 43 (10492 of them) are listed in
+    # find_wickets order; resampling the lowest violated one pins it.
+    path = tmp_path / "s43.txt"
+    path.write_text("".join(f"{v}\n" for v in range(0, 43, 3)))
+    head = '{"attempt": 0, '
+    tail = '"k": 7, "lower_bound": 93, '
+    for seed, line, digest in (
+        (0, '"color": 0, ' + tail + '"resamples": 5, "seed": 0, '
+         '"selected_edges": 103, ', "1d230d6d068f6a2b"),
+        (1, '"color": 2, ' + tail + '"resamples": 13, "seed": 1, '
+         '"selected_edges": 99, ', "f1d97962a9ee8466"),
+    ):
+        stdout = head + line + '"total_edges": 645, "wickets": 10492}\n'
+        args = ["modular", "--k", "7", "--set", str(path), "--seed", str(seed)]
+        _color_golden(capsys, tmp_path, args, stdout, digest)
+
+
+def test_color_eisenstein_golden(capsys, tmp_path):
+    # The 24 nonzero points with coordinates in [-2, 2]: 1830 wickets
+    # over the disc of bound 2, three of them resampled at seed 0.
+    path = tmp_path / "points.txt"
+    path.write_text(
+        "".join(
+            f"{a},{b}\n"
+            for a in range(-2, 3)
+            for b in range(-2, 3)
+            if (a, b) != (0, 0)
+        )
+    )
+    _color_golden(
+        capsys,
+        tmp_path,
+        ["eisenstein", "--bound", "2", "--set", str(path), "--seed", "0"],
+        '{"attempt": 0, "color": 1, "k": 8, "lower_bound": 27, '
+        '"resamples": 3, "seed": 0, "selected_edges": 33, '
+        '"total_edges": 216, "wickets": 1830}\n',
+        "0974cd7a8208823e",
+    )
+    _color_golden(
+        capsys,
+        tmp_path,
+        ["eisenstein", "--bound", "3", "--norm", "ring", "--auto", "--seed", "1"],
+        '{"attempt": 0, "color": 0, "k": 6, "lower_bound": 16, '
+        '"resamples": 0, "seed": 1, "selected_edges": 21, '
+        '"total_edges": 91, "wickets": 17}\n',
+        "2f86bdc83b3ca532",
+    )
+
+
 def test_color_budget_exhaustion_maps_to_exit_3(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ColoringBudgetError({"attempts": 2, "resamples": 400, "violated": 3})
@@ -244,11 +302,11 @@ def test_color_budget_exhaustion_maps_to_exit_3(monkeypatch, capsys):
 def test_incomplete_wicket_list_maps_to_exit_2(monkeypatch, capsys, tmp_path):
     # With no wickets to repair, the chosen class of seed 4 keeps one of
     # the 14 wickets of {0, 3, 6} mod 7, which the final re-check reports.
-    from wicketlab import coloring
+    from wicketlab import construction
 
     path = tmp_path / "s036.txt"
     path.write_text("0\n3\n6\n")
-    monkeypatch.setattr(coloring, "build_wickets", lambda build: [])
+    monkeypatch.setattr(construction, "build_wickets", lambda build: [])
     code = cli.main(
         ["color", "modular", "--k", "3", "--set", str(path), "--seed", "4"]
     )
@@ -279,12 +337,12 @@ def test_build_f3_counts_without_enumeration(monkeypatch, capsys, tmp_path):
 def test_color_f3_lists_no_wickets(monkeypatch, capsys, tmp_path):
     # GF(3) builds are colored from their plane families, so the wicket
     # list must not be built; the lines are those of the listed wickets.
-    from wicketlab import coloring
+    from wicketlab import construction
 
     def refuse(*args):
         raise AssertionError("color f3 must not list wickets")
 
-    monkeypatch.setattr(coloring, "build_wickets", refuse)
+    monkeypatch.setattr(construction, "build_wickets", refuse)
     expected = {
         4: '{"attempt": 0, "color": 3, "k": 7, "lower_bound": 186, '
         '"resamples": 10, "seed": 0, "selected_edges": 205, '
@@ -303,20 +361,20 @@ def test_color_f3_lists_no_wickets(monkeypatch, capsys, tmp_path):
 def test_color_modular_lists_wickets_once(monkeypatch, capsys, tmp_path):
     # color_edges lists the build's wickets itself, once; the command
     # lists none of its own.
-    from wicketlab import coloring
+    from wicketlab import construction
 
     def refuse(*args):
         raise AssertionError("color must list wickets only in color_edges")
 
     listed = []
-    lister = coloring.build_wickets
+    lister = construction.build_wickets
 
     def counted(build):
         listed.append(build)
         return lister(build)
 
     monkeypatch.setattr(cli, "build_wickets", refuse)
-    monkeypatch.setattr(coloring, "build_wickets", counted)
+    monkeypatch.setattr(construction, "build_wickets", counted)
     path = tmp_path / "s036.txt"
     path.write_text("0\n3\n6\n")
     assert cli.main(["color", "modular", "--k", "3", "--set", str(path)]) == 0

@@ -6,19 +6,18 @@ import tracemalloc
 
 import pytest
 
-from wicketlab import coloring
+from wicketlab import construction
 from wicketlab.coloring import color_edges, colors_needed
 from wicketlab.construction import (
     Build,
-    PlaneWickets,
     build_eisenstein,
     build_f3,
     build_modular,
     build_wickets,
     plane_wicket_counts,
     wicket_dependency_degree,
+    wicket_families,
     wicket_system,
-    wickets_by_edge,
 )
 from wicketlab.eisenstein import EisensteinPoint, OMEGA, ROT60, ZERO, region_points
 from wicketlab.eqfree import has_solution
@@ -31,6 +30,7 @@ from oracles import (
     is_linear,
     plane_wickets_point_scan,
     provenance,
+    wickets_by_edge,
 )
 
 # wicket-free / wicket-carrying direction sets found by exhausting all
@@ -69,7 +69,8 @@ def test_build_f3_shape_n1():
     assert find_63(h) == []
     wickets = build_wickets(b)
     assert len(wickets) == 6
-    assert len(PlaneWickets(b)) == 6  # one plane family
+    size, edges, _, _ = wicket_families(b)
+    assert (size, len(edges)) == (6, 6)  # one plane family
     assert wicket_dependency_degree(wickets) == 5
 
 
@@ -78,9 +79,8 @@ def test_build_f3_shape_n2():
     h = b.hypergraph
     assert h.edge_count == 36 and h.vertex_count == 27
     assert is_linear(h) and find_63(h) == []
-    plane = PlaneWickets(b)
-    assert len(plane) == 6 * 18  # 18 plane families
-    assert all(len(w) == 5 for w in plane)
+    size, edges, _, _ = wicket_families(b)
+    assert (size, len(edges)) == (6, 6 * 18)  # 18 plane families
     wickets = build_wickets(b)
     assert len(wickets) == 108
     assert wicket_dependency_degree(wickets) == 55
@@ -135,28 +135,30 @@ def test_plane_wickets_match_point_scan_in_order():
 
 def test_plane_wickets_match_wicket_list(monkeypatch):
     # The flat family storage against the independent point scan, in
-    # plane-family order: edge ids per index and edge -> wicket indices,
+    # plane-family order: wicket 6f + r is family f without its edge r,
+    # and an edge's families are those of the scan's wickets holding it,
     # so the coloring is the one the listed wickets give. The listed
     # coloring is that of the same build without plane families, whose
-    # wickets color_edges takes from build_wickets, patched to the scan.
+    # wickets wicket_families takes from build_wickets, patched to the scan.
     for cap in _plane_test_caps():
         b = build_f3(cap)
-        scan = plane_wickets_point_scan(b)
+        witnesses = plane_wickets_point_scan(b)
+        scan = [w.edge_ids for w in witnesses]
         listed = Build(b.directions, b.bases, b.hypergraph, b.ring, False)
-        monkeypatch.setattr(coloring, "build_wickets", lambda build: scan)
-        plane = PlaneWickets(b)
-        assert len(plane) == len(scan), cap
-        # iteration stops at the IndexError one past the end
-        items = [tuple(w) for w in plane]
-        assert items == [w.edge_ids for w in scan], cap
-        with pytest.raises(IndexError):
-            plane[len(plane)]
-        by_edge = {}
+        monkeypatch.setattr(construction, "build_wickets", lambda _: witnesses)
+        size, edges, starts, ids = wicket_families(b)
+        assert size == 6 and len(edges) == len(scan), cap
+        items = []
+        for idx in range(len(edges)):
+            family = list(edges[idx - idx % 6 : idx - idx % 6 + 6])
+            del family[idx % 6]
+            items.append(tuple(family))
+        assert items == scan, cap
+        by_edge = wickets_by_edge(scan)
+        assert len(starts) == b.hypergraph.edge_count + 1, cap
         for e in range(b.hypergraph.edge_count):
-            ids = list(plane.containing(e))
-            if ids:
-                by_edge[e] = ids
-        assert by_edge == wickets_by_edge(scan), cap
+            families = sorted({idx // 6 for idx in by_edge.get(e, ())})
+            assert list(ids[starts[e] : starts[e + 1]]) == families, (cap, e)
         for seed in range(5):
             one = color_edges(b, seed=seed)
             two = color_edges(listed, seed=seed)
@@ -190,7 +192,7 @@ def test_local_lemma_slack_below_ceiling():
 
 def test_single_direction_has_no_wickets():
     b = build_f3(verify_single := CapSet(1, frozenset({(0,)}), verified=True))
-    assert len(PlaneWickets(b)) == 0
+    assert len(wicket_families(b)[1]) == 0
     assert find_wickets(b.hypergraph) == []
 
 
