@@ -13,8 +13,10 @@ elements never creates a solution), which both searches rely on.
 The exact search lists every non-trivial solution over the domain once
 and keeps the inclusion-minimal solution value sets as bitmasks (the
 forbidden sets): a set is free exactly when it contains none of them.
-The branch and bound over these masks is shared with the exact cap
-search in `gf3`, whose forbidden sets are the lines. The heuristic,
+The branch and bound over these masks reads, for each added element, a
+kill table built once from the forbidden sets through it, and is shared
+with the exact cap search in `gf3`, whose forbidden sets are the lines
+and whose search starts from an affine frame. The heuristic,
 whose domains have no size limit, keeps its set free, so each move
 calls `has_solution(S, spec, through=c)`: it lists only the solutions
 over S | {c} that use the new element c, which decides whether S | {c}
@@ -212,14 +214,14 @@ def iter_nontrivial_solutions(
             assignment = dict(zip(free, combo))
             if solved is not None:
                 assignment[solved] = value
-            if not all(
+            if checked and not all(
                 _is_zero(_relation_value(r, assignment), modulus)
                 for r in checked
             ):
                 continue
             if spec.is_trivial(assignment):
                 continue
-            if any(assignment[v] == through for v in earlier):
+            if earlier and any(assignment[v] == through for v in earlier):
                 continue  # listed under an earlier variable
             yield assignment
 
@@ -289,16 +291,16 @@ class SearchResult(NamedTuple):
 def _forbidden_sets(items: list, spec: EquationSpec) -> list:
     """Inclusion-minimal solution value sets over `items`, as bitmasks.
 
-    Bit i stands for items[i], and solution values are matched to items
-    by canonical value. A set is free exactly when it contains none of
-    these masks.
+    Bit i stands for items[i], and solution values, which come reduced
+    mod m, are matched to items by canonical value. A set is free
+    exactly when it contains none of these masks.
     """
-    position = {_canon(v, spec.modulus): i for i, v in enumerate(items)}
+    bit = {_canon(v, spec.modulus): 1 << i for i, v in enumerate(items)}
     masks = set()
     for solution in iter_nontrivial_solutions(items, spec):
         mask = 0
         for value in solution.values():
-            mask |= 1 << position[_canon(value, spec.modulus)]
+            mask |= bit[value]
         masks.add(mask)
     minimal = []
     for mask in masks:
@@ -315,12 +317,17 @@ def _max_free_mask(forbidden: list, size: int, chosen: int) -> int:
     0..size-1 that contains no forbidden set, by branch and bound.
 
     Candidates are tried in ascending bit order, so of the maximum sets
-    the search returns the first in depth-first order. Adding a bit
-    drops from the remaining candidates every bit that would complete
-    one of the forbidden sets through it; the same rule, applied to
+    the search returns the first in depth-first order. Adding a bit b
+    drops from the remaining candidates every bit c that would then
+    complete a forbidden set. The kill table of b, built once, maps the
+    key f - {b, c} to c for each forbidden f through b and each other c
+    in f; adding b looks up each subset of the current set with at most
+    max |f| - 2 members. That is exactly the completion rule: the current
+    set is free and no remaining candidate completes a forbidden set, so
+    a c found this way is never a member. The same rule, applied to
     `chosen`, gives the first candidates.
     """
-    through: list = [[] for _ in range(size)]
+    kills: list = [{} for _ in range(size)]
     rest = ((1 << size) - 1) & ~chosen
     for f in forbidden:
         missing = f & ~chosen
@@ -328,27 +335,55 @@ def _max_free_mask(forbidden: list, size: int, chosen: int) -> int:
             rest &= ~missing
         bits = f
         while bits:
-            low = bits & -bits
-            through[low.bit_length() - 1].append(f)
-            bits ^= low
+            b = bits & -bits
+            bits ^= b
+            table = kills[b.bit_length() - 1]
+            others = f ^ b
+            completions = others
+            while completions:
+                c = completions & -completions
+                completions ^= c
+                key = others ^ c
+                table[key] = table.get(key, 0) | c
+    top = max([f.bit_count() - 2 for f in forbidden], default=0)
+
+    def grow(levels: list, b: int) -> list:
+        """The subsets of a set by size, up to `top`, once b joins it."""
+        return [levels[0]] + [
+            levels[s] + [key | b for key in levels[s - 1]]
+            for s in range(1, top + 1)
+        ]
+
+    levels = [[0]] + [[] for _ in range(top)]
+    bits = chosen
+    while bits:
+        b = bits & -bits
+        bits ^= b
+        levels = grow(levels, b)
     best, best_size = chosen, chosen.bit_count()
 
-    def extend(current: int, count: int, rest: int) -> None:
+    def extend(current: int, count: int, rest: int, levels: list) -> None:
+        # levels[s] lists the subsets of `current` with s members
         nonlocal best, best_size
         if count > best_size:
             best, best_size = current, count
         while count + rest.bit_count() > best_size:
-            low = rest & -rest
-            rest ^= low
-            trial = current | low
-            tail = rest
-            for f in through[low.bit_length() - 1]:
-                missing = f & ~trial
-                if missing.bit_count() == 1:
-                    tail &= ~missing
-            extend(trial, count + 1, tail)
+            b = rest & -rest
+            rest ^= b
+            table = kills[b.bit_length() - 1]
+            dropped = 0
+            for keys in levels:
+                for key in keys:
+                    c = table.get(key)
+                    if c:
+                        dropped |= c
+            tail = rest & ~dropped
+            if tail and count + 1 + tail.bit_count() > best_size:
+                extend(current | b, count + 1, tail, grow(levels, b))
+            elif count + 1 > best_size:  # the child would only record its size
+                best, best_size = current | b, count + 1
 
-    extend(chosen, best_size, rest)
+    extend(chosen, best_size, rest, levels)
     return best
 
 

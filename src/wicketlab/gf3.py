@@ -25,7 +25,8 @@ from .errors import (
 Vec = tuple[int, ...]
 
 # Exhaustive cap search degrades quickly with dimension; 3 is the last
-# dimension where plain branch and bound stays interactive.
+# dimension where the branch and bound from an affine frame is known to
+# stay interactive.
 MAX_EXACT_CAP_DIMENSION = 3
 
 
@@ -191,10 +192,17 @@ def max_cap_exact(dimension: int) -> CapSet:
     """A maximum cap in F_3^n found by exhaustive branch and bound (n <= 3).
 
     The search is the one behind `max_free_exhaustive`, over the points
-    in encode order with the lines {a, b, -a-b} as forbidden sets. Lines
-    are translation invariant over GF(3), so some maximum cap contains
-    the zero vector; the search starts with it chosen and returns the
-    first maximum cap in depth-first order.
+    in encode order with the lines {a, b, -a-b} as forbidden sets. It
+    starts from the affine frame 0, e_1, ..., e_n chosen and returns the
+    first maximum cap in depth-first order that contains the frame.
+
+    Some maximum cap contains the frame. The largest cap size grows
+    strictly with n (a cap C in F_3^(n-1) gives the cap C x {0, 1}), so
+    a maximum cap lies in no affine hyperplane, which holds a cap of
+    dimension n - 1 at most. It therefore contains n + 1 affinely
+    independent points p_0, ..., p_n. The invertible affine map sending
+    p_0 to 0 and each p_i - p_0 to e_i maps lines to lines, hence this
+    cap to a maximum cap through the frame.
     """
     if dimension < 0:
         raise ValueError("dimension must be nonnegative")
@@ -215,7 +223,8 @@ def max_cap_exact(dimension: int) -> CapSet:
             c = encode(f3_neg(f3_add(vecs[a], vecs[b])))
             if c > b:
                 lines.append(1 << a | 1 << b | 1 << c)
-    best = _max_free_mask(lines, size, 1)
+    frame = 1 | sum(1 << 3**i for i in range(dimension))  # 0 and the e_i
+    best = _max_free_mask(lines, size, frame)
     return CapSet(
         dimension, frozenset(v for i, v in enumerate(vecs) if best >> i & 1), True
     )

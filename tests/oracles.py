@@ -692,6 +692,44 @@ def max_free_first_by_has_solution(domain, spec) -> tuple:
     return tuple(best)
 
 
+def max_free_mask_by_rescan(forbidden: list, size: int, chosen: int) -> int:
+    """The mask `_max_free_mask` returned when adding a bit rescanned
+    every forbidden set through it: a bit is dropped from the candidates
+    when it is the one bit of such a set missing from the trial set. The
+    reference for which mask the kill-table search returns.
+    """
+    through: list = [[] for _ in range(size)]
+    rest = ((1 << size) - 1) & ~chosen
+    for f in forbidden:
+        missing = f & ~chosen
+        if missing.bit_count() == 1:
+            rest &= ~missing
+        bits = f
+        while bits:
+            low = bits & -bits
+            through[low.bit_length() - 1].append(f)
+            bits ^= low
+    best, best_size = chosen, chosen.bit_count()
+
+    def extend(current: int, count: int, rest: int) -> None:
+        nonlocal best, best_size
+        if count > best_size:
+            best, best_size = current, count
+        while count + rest.bit_count() > best_size:
+            low = rest & -rest
+            rest ^= low
+            trial = current | low
+            tail = rest
+            for f in through[low.bit_length() - 1]:
+                missing = f & ~trial
+                if missing.bit_count() == 1:
+                    tail &= ~missing
+            extend(trial, count + 1, tail)
+
+    extend(chosen, best_size, rest)
+    return best
+
+
 def max_free_heuristic_by_full_check(
     domain, spec, seed=0, budget=2000, method="local"
 ) -> tuple:

@@ -441,6 +441,43 @@ def test_search_triangle_both_norms():
     assert data["size"] == 7 and data["domain"] == "ring<=3"
 
 
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            ["cap", "max", "--n", "3"],
+            '{"dimension": 3, "elements": ["000", "001", "010", "011", '
+            '"100", "101", "112", "122", "212"], "size": 9}\n',
+        ),
+        (
+            ["search", "ruzsa", "--n", "30"],
+            '{"domain": "1..30", "method": "exhaustive", "optimal": true, '
+            '"problem": "3x+y=2z+2w", "set": [1, 2, 6, 7, 24, 26], '
+            '"size": 6, "verified": true}\n',
+        ),
+        (
+            ["search", "modular", "--k", "5"],
+            '{"domain": "Z/21", "method": "exhaustive", "optimal": true, '
+            '"problem": "5x-4y=z (mod 21)", "set": [0, 1, 2, 3, 8, 12, 16], '
+            '"size": 7, "verified": true}\n',
+        ),
+        (
+            ["search", "triangle", "--bound", "6", "--norm", "ring"],
+            '{"domain": "ring<=6", "method": "exhaustive", "optimal": true, '
+            '"problem": "t-w=omega(w-v)", "set": ["-2,-2", "-2,-1", "-2,0", '
+            '"-1,-2", "0,-2", "0,1", "1,0", "1,2", "2,1"], "size": 9, '
+            '"verified": true}\n',
+        ),
+    ],
+    ids=["cap3", "ruzsa30", "modular5", "triangle6-ring"],
+)
+def test_exact_search_golden(argv, stdout, capsys):
+    # Exact searches return the first maximum set in depth-first order;
+    # these pin which one, at the exhaustive limit for Ruzsa.
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_search_local_deterministic():
     args = ("search", "ruzsa", "--n", "40", "--mode", "local", "--seed", "3")
     assert run_cli(*args).stdout == run_cli(*args).stdout

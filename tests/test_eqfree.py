@@ -17,6 +17,7 @@ from wicketlab.eqfree import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     TRIANGLE_EXHAUSTIVE_LIMIT,
     EquationSpec,
+    _max_free_mask,
     equilateral_equation,
     greedy_free_set,
     has_solution,
@@ -36,6 +37,7 @@ from oracles import (
     equilateral_by_sides,
     max_free_first_by_has_solution,
     max_free_heuristic_by_full_check,
+    max_free_mask_by_rescan,
     modular_solution_raw,
     ruzsa_max_fullenum,
     ruzsa_solution_raw,
@@ -228,6 +230,31 @@ def test_exhaustive_matches_has_solution_search_in_order():
         )
         assert result.verified
     assert 0 not in max_free_exhaustive(range(-4, 9), zero_counts).elements
+
+
+def test_kill_tables_match_rescan():
+    # Random families with singletons, non-minimal and repeated sets,
+    # searched from random free starting masks.
+    rng = random.Random(83)
+    for _ in range(300):
+        size = rng.randint(1, 24)
+        forbidden = []
+        for _ in range(rng.randrange(3 * size)):
+            width = min(rng.randint(1, 5), size)
+            forbidden.append(sum(1 << i for i in rng.sample(range(size), width)))
+        for f in rng.sample(forbidden, len(forbidden) // 4):
+            forbidden.append(f)  # repeated
+            extra = rng.randrange(size)
+            forbidden.append(f | 1 << extra)  # non-minimal unless extra in f
+        rng.shuffle(forbidden)
+        chosen = 0
+        for i in rng.sample(range(size), rng.randrange(size + 1) // 2):
+            trial = chosen | 1 << i
+            if all(f & trial != f for f in forbidden):
+                chosen = trial
+        assert _max_free_mask(forbidden, size, chosen) == max_free_mask_by_rescan(
+            forbidden, size, chosen
+        ), (size, forbidden, chosen)
 
 
 def test_exhaustive_domain_guard():

@@ -144,6 +144,14 @@ def test_max_cap_exact_matches_backtracking_in_order():
         assert max_cap_exact(n).sorted_elements == max_cap_first_dfs(n)
 
 
+def test_max_cap_exact_contains_the_frame():
+    for n in (1, 2, 3):
+        frame = {(0,) * n} | {
+            tuple(int(i == j) for j in range(n)) for i in range(n)
+        }
+        assert frame <= max_cap_exact(n).elements
+
+
 def test_max_cap_exact_dimension_guard():
     with pytest.raises(DomainTooLargeError):
         max_cap_exact(4)
