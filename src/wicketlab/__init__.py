@@ -28,11 +28,9 @@ _MODULES = {
     "CensusReport": "census",
     "grid_system": "census",
     "iter_classified": "census",
-    "iter_linear_five_sets": "census",
     "minimal_free_example": "census",
     "run_census": "census",
     "system_has_63": "census",
-    "system_has_wicket": "census",
     "ColorClassSelection": "coloring",
     "EdgeColoring": "coloring",
     "color_edges": "coloring",
@@ -47,7 +45,6 @@ _MODULES = {
     "plane_wicket_counts": "construction",
     "wicket_dependency_degree": "construction",
     "wicket_families": "construction",
-    "wicket_system": "construction",
     "EisensteinPoint": "eisenstein",
     "OMEGA": "eisenstein",
     "coordinate_norm": "eisenstein",
@@ -81,7 +78,6 @@ _MODULES = {
     "WicketlabError": "errors",
     "CapSet": "gf3",
     "all_vectors": "gf3",
-    "binary_cap": "gf3",
     "decode": "gf3",
     "encode": "gf3",
     "f3_add": "gf3",
@@ -89,7 +85,6 @@ _MODULES = {
     "f3_scale": "gf3",
     "f3_sub": "gf3",
     "find_ap3": "gf3",
-    "is_ap3_free": "gf3",
     "lift_cap": "gf3",
     "load_cap_file": "gf3",
     "max_cap_exact": "gf3",

@@ -132,21 +132,6 @@ def _classified(use_detectors: bool) -> Iterator[tuple]:
                         yield ids, has_w, has_63, covers
 
 
-def iter_linear_five_sets() -> Iterator[tuple]:
-    """Ascending 5-subsets of grid edges that form linear systems."""
-    for ids, _has_w, _has_63, _covers in _classified(False):
-        yield ids
-
-
-def system_has_wicket(ids) -> bool:
-    """Whether the five grid edges `ids` form a wicket. A linear 5-edge
-    system contains a wicket only if it is one, and a wicket is linear."""
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return len(ids) == 5 and mask in WICKET_MASKS
-
-
 def system_has_63(ids) -> bool:
     """(6,3) test: three edges, pairwise sharing one vertex, with the
     three shared vertices distinct."""
@@ -154,13 +139,6 @@ def system_has_63(ids) -> bool:
     return any(
         closers[a][b] >> c & 1 for a, b, c in itertools.combinations(ids, 3)
     )
-
-
-def system_covers_grid(ids) -> bool:
-    union = 0
-    for i in ids:
-        union |= VERTEX_MASK[i]
-    return union == ALL_VERTICES
 
 
 def detector_classify(ids) -> tuple:

@@ -23,10 +23,8 @@ row/column incidences force
 A solution yields a wicket exactly when eight side inequalities hold
 and the three bases exist; the inequalities say the five edges are
 pairwise distinct and the rows and columns are disjoint, and under R0
-and R1 they all hold unless s = t, s = w or t = u. The system is
-exported as an EquationSpec whose triviality rule is "one of these
-equalities", so eqfree.has_solution decides direction feasibility, and
-build_wickets lists every family's wickets from it in closed form.
+and R1 they all hold unless s = t, s = w or t = u. build_wickets lists
+every family's wickets from the system in closed form.
 
 Over GF(3) the wickets also come in plane families: the lifted lines of
 two directions s, t span one affine plane per coset of <t - s>, and
@@ -49,12 +47,11 @@ from .errors import SetFileError
 # find_wickets is not called here, but perfbench/tracing.py wraps it here
 from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
 
-# The layer of each family (gf3, eisenstein) and the equation layer
-# (eqfree) are imported by the functions that use them, so building one
-# family loads neither the other family's layer nor the search layer.
+# The layer of each family (gf3, eisenstein) is imported by the
+# functions that use it, so building one family does not load the other
+# family's layer.
 if TYPE_CHECKING:
     from .eisenstein import EisensteinPoint
-    from .eqfree import EquationSpec
     from .gf3 import CapSet
 
 
@@ -362,41 +359,3 @@ def wicket_dependency_degree(wickets: Sequence[WicketWitness]) -> int:
         default=0,
     )
 
-
-def wicket_system(lam, modulus: Optional[int] = None) -> EquationSpec:
-    """Direction system whose non-degenerate solvability over S is
-    equivalent to a wicket in a build with lam = nu / mu.
-
-    lam is a root of x^2 - x + 1 in its ring: k mod k^2 - k + 1, or
-    -w over the Eisenstein integers. Coefficients lam - 1 are written as
-    lam^2, which is equal in both rings.
-
-    Degeneracy: any failed side inequality collapses two of the five
-    edges or makes two parallel edges share a vertex, so such solutions
-    do not correspond to wickets and count as trivial. Under R0 and R1
-    the eight inequalities fail exactly when s = t, s = w or t = u (see
-    build_wickets); solution values come reduced mod m, so equality is
-    the check.
-    """
-    from .eqfree import EquationSpec
-
-    lam2 = lam * lam
-
-    def degenerate(assign: dict) -> bool:
-        s, t = assign["s"], assign["t"]
-        return s == t or s == assign["w"] or t == assign["u"]
-
-    if modulus is None:
-        name = "wicket directions over the Eisenstein lattice"
-    else:
-        name = f"wicket directions mod {modulus}"
-    return EquationSpec(
-        name=name,
-        variables=("s", "t", "u", "v", "w"),
-        relations=(
-            (("s", 1), ("t", -1), ("u", lam), ("w", -lam)),
-            (("s", lam2), ("t", 1), ("u", -1), ("v", -lam2)),
-        ),
-        modulus=modulus,
-        trivial=degenerate,
-    )

@@ -3,8 +3,8 @@
 An EquationSpec is a conjunction of homogeneous linear relations over a
 commutative ring: plain integers, integers mod m, or Eisenstein points.
 A set S is free when no assignment of S-values to the variables
-satisfies every relation non-trivially (by default, "trivial" means all
-variables take one common value).
+satisfies every relation non-trivially, where "trivial" means all
+variables take one common value.
 
 Searches: exact branch and bound for small domains, greedy plus
 simulated annealing beyond that. Freeness is hereditary (dropping
@@ -30,7 +30,7 @@ import bisect
 import itertools
 import math
 import random
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .eisenstein import ONE, OMEGA, ROT60, EisensteinPoint, region_points
 from .errors import DomainTooLargeError
@@ -41,8 +41,7 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 22
 
 class EquationSpec:
     """Conjunction of relations, each a tuple of (variable, coefficient)
-    terms summing to zero. `trivial` overrides the all-equal rule.
-    Specs compare by identity."""
+    terms summing to zero. Specs compare by identity."""
 
     def __init__(
         self,
@@ -50,7 +49,6 @@ class EquationSpec:
         variables: tuple,
         relations: tuple,
         modulus: Optional[int] = None,
-        trivial: Optional[Callable] = None,
     ):
         if not variables:
             raise ValueError("equation needs at least one variable")
@@ -65,15 +63,7 @@ class EquationSpec:
         self.variables = variables
         self.relations = relations
         self.modulus = modulus
-        self.trivial = trivial
         self._plans: dict = {}  # built by iter_nontrivial_solutions
-
-    def is_trivial(self, assignment: dict) -> bool:
-        if self.trivial is not None:
-            return self.trivial(assignment)
-        values = iter(assignment.values())
-        first = next(values)
-        return all(v == first for v in values)
 
 
 def _relation_value(relation, assignment):
@@ -159,8 +149,9 @@ def iter_nontrivial_solutions(
 
     When some relation carries a +-1 coefficient, that variable is
     solved from the others, saving one enumeration dimension; the
-    remaining relations and the triviality rule are then checked on the
-    completed assignment. Otherwise every assignment is enumerated.
+    remaining relations are then checked on the completed assignment.
+    Otherwise every assignment is enumerated. An assignment whose
+    values are all equal is trivial and skipped.
 
     With `through=c`, only the solutions over S | {c} that use the value
     c are listed, each once: under the first variable equal to c, which
@@ -219,8 +210,8 @@ def iter_nontrivial_solutions(
                 for r in checked
             ):
                 continue
-            if spec.is_trivial(assignment):
-                continue
+            if all(v == combo[0] for v in assignment.values()):
+                continue  # trivial: every variable takes one value
             if earlier and any(assignment[v] == through for v in earlier):
                 continue  # listed under an earlier variable
             yield assignment

@@ -137,10 +137,6 @@ def find_ap3(elements: Iterable[Vec]) -> Optional[tuple]:
     return None
 
 
-def is_ap3_free(elements: Iterable[Vec]) -> bool:
-    return find_ap3(elements) is None
-
-
 def verify_cap(dimension: int, elements: Iterable[Vec]) -> CapSet:
     """Validate ranges and progression-freeness, returning a verified CapSet."""
     elems = frozenset(elements)
@@ -155,12 +151,6 @@ def verify_cap(dimension: int, elements: Iterable[Vec]) -> CapSet:
     if witness is not None:
         raise CapVerificationError(witness)
     return CapSet(dimension=dimension, elements=elems, verified=True)
-
-
-def binary_cap(dimension: int) -> CapSet:
-    """The cap {0,1}^n, the default direction set for product builds."""
-    elems = frozenset(itertools.product(range(2), repeat=dimension))
-    return verify_cap(dimension, elems)
 
 
 def product_cap(left: CapSet, right: CapSet) -> CapSet:

@@ -143,12 +143,12 @@ def find_wickets(
     columns j are that two-hop neighbourhood minus touch[i], and rows
     p, q are disjoint when bit q of touch[p] is clear.
 
-    The list is ordered by (i, j), then by row triple; `color_edges`
-    resamples the lowest-indexed violated wicket, so this order shapes
-    its output. No 5-set is reached twice: its only disjoint pairs are
-    the columns and the three row pairs, and a row pair taken as
-    columns would leave both old columns among the rows, which meet
-    the third row.
+    The list is ordered by (i, j), then by row triple. On a build's
+    hypergraph, `build_wickets` returns this list in this order, and
+    the tests pin the two as equal. No 5-set is reached twice: its only
+    disjoint pairs are the columns and the three row pairs, and a row
+    pair taken as columns would leave both old columns among the rows,
+    which meet the third row.
     """
     if limit is not None and limit <= 0:
         return []

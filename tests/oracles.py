@@ -6,7 +6,9 @@ code with the package. The exceptions are earlier versions of fast
 paths, kept as references for the order of their output; of these,
 `max_free_first_by_has_solution` and `max_free_heuristic_by_full_check`
 call the library's `has_solution`, which other tests check against raw
-scans.
+scans. `wicket_directions` lists the wicket system's solutions with the
+library's `iter_nontrivial_solutions`, checked the same way, and
+`binary_cap` verifies its cap with the library's `verify_cap`.
 """
 
 import random
@@ -146,6 +148,15 @@ def max_cap_first_dfs(n: int) -> tuple:
 
     dfs(1)
     return tuple(vecs[i] for i in best)
+
+
+def binary_cap(dimension: int):
+    """The cap {0,1}^n, verified."""
+    from itertools import product
+
+    from wicketlab.gf3 import verify_cap
+
+    return verify_cap(dimension, product(range(2), repeat=dimension))
 
 
 # ------------------------------------------------------------ detectors
@@ -816,6 +827,48 @@ def modular_solution_raw(S, k: int) -> bool:
             if z in vals and not (x == y == z):
                 return True
     return False
+
+
+def wicket_system_spec(lam, modulus=None):
+    """The wicket system of a build with lam = nu / mu as a plain
+    equation over the directions (s, t, u, v, w):
+
+        R0   s - t + lam(u - w) = 0
+        R1   lam^2 s + t - u - lam^2 v = 0
+
+    lam is a root of x^2 - x + 1 in its ring, k mod k^2 - k + 1 or -w
+    over the Eisenstein integers, so lam - 1 is written as lam^2.
+    """
+    from wicketlab.eqfree import EquationSpec
+
+    lam2 = lam * lam
+    if modulus is None:
+        name = "wicket directions over the Eisenstein lattice"
+    else:
+        name = f"wicket directions mod {modulus}"
+    return EquationSpec(
+        name=name,
+        variables=("s", "t", "u", "v", "w"),
+        relations=(
+            (("s", 1), ("t", -1), ("u", lam), ("w", -lam)),
+            (("s", lam2), ("t", 1), ("u", -1), ("v", -lam2)),
+        ),
+        modulus=modulus,
+    )
+
+
+def wicket_directions(S, lam, modulus=None):
+    """The first solution of the wicket system over S with s != t,
+    s != w and t != u, or None: under R0 and R1 the other solutions
+    repeat an edge, so these are the direction sets of the wickets
+    (three bases permitting). Every all-equal assignment has s = t."""
+    from wicketlab.eqfree import iter_nontrivial_solutions
+
+    spec = wicket_system_spec(lam, modulus)
+    for d in iter_nontrivial_solutions(S, spec):
+        if d["s"] != d["t"] and d["s"] != d["w"] and d["t"] != d["u"]:
+            return d
+    return None
 
 
 class F3Elem:

@@ -6,12 +6,9 @@ from wicketlab.census import (
     GRID_EDGES,
     grid_system,
     iter_classified,
-    iter_linear_five_sets,
     minimal_free_example,
     run_census,
-    system_covers_grid,
     system_has_63,
-    system_has_wicket,
 )
 from wicketlab.hypergraph import find_63, find_wickets
 from oracles import (
@@ -49,7 +46,7 @@ def test_grid_edges_table():
 
 
 def test_known_wicket_ids():
-    assert system_has_wicket(WICKET_IDS)
+    assert (WICKET_IDS, True, False) in iter_classified(False)
     assert not system_has_63(WICKET_IDS)
     h = grid_system(WICKET_IDS)
     assert len(find_wickets(h)) == 1
@@ -83,7 +80,7 @@ def test_detector_route_agrees():
 
 def test_linear_five_sets_complete():
     seen = set()
-    for ids in iter_linear_five_sets():
+    for ids, _, _ in iter_classified(False):
         assert ids not in seen
         seen.add(ids)
         assert is_linear(grid_system(ids))
@@ -103,13 +100,13 @@ def test_bitmask_oracle_and_detector_classifiers_agree():
     assert bitmask == oracle
     assert list(iter_classified(True)) == oracle
     covers = [share_table_covers_grid(ids) for ids, _, _ in oracle]
-    assert [system_covers_grid(ids) for ids, _, _ in bitmask] == covers
     assert run_census().full_coverage == sum(covers)
 
 
 def test_classifiers_match_oracle_on_any_ids():
-    """The public tests keep the share-table results on inputs the census
-    never makes: non-linear systems, other sizes and repeated edges."""
+    """The public (6,3) test keeps the share-table results on inputs the
+    census never makes: non-linear systems, other sizes and repeated
+    edges."""
     rng = random.Random(13)
     linear = grid_linear_systems(5)
     for _ in range(3000):
@@ -117,9 +114,7 @@ def test_classifiers_match_oracle_on_any_ids():
             ids = tuple(rng.sample(rng.choice(linear), 5))
         else:
             ids = tuple(rng.randrange(27) for _ in range(rng.randint(0, 7)))
-        assert system_has_wicket(ids) == share_table_has_wicket(ids), ids
         assert system_has_63(ids) == share_table_has_63(ids), ids
-        assert system_covers_grid(ids) == share_table_covers_grid(ids), ids
     for ids in itertools.combinations(range(27), 3):
         assert system_has_63(ids) == share_table_has_63(ids), ids
 
@@ -137,7 +132,8 @@ def test_iter_classified_rows():
 
 
 def test_coverage_field():
-    covered = sum(1 for ids in iter_linear_five_sets() if system_covers_grid(ids))
+    rows = iter_classified(False)
+    covered = sum(1 for ids, _, _ in rows if share_table_covers_grid(ids))
     assert covered == FROZEN["full_coverage"]
 
 
@@ -160,15 +156,15 @@ def test_degree_audit():
     a wicket, with degree profile (2,2,2,2,2,2,1,1,1)."""
     systems = degree3_without_63 = wicket_profile_mismatches = 0
     profiles = Counter()
-    for ids in iter_linear_five_sets():
-        if not system_covers_grid(ids):
+    for ids, has_wicket, _ in iter_classified(False):
+        if not share_table_covers_grid(ids):
             continue
         systems += 1
         profile = tuple(sorted(_degrees(ids).values(), reverse=True))
         profiles[profile] += 1
         if profile[0] >= 3 and not system_has_63(ids):
             degree3_without_63 += 1
-        if system_has_wicket(ids) and profile != WICKET_DEGREE_PROFILE:
+        if has_wicket and profile != WICKET_DEGREE_PROFILE:
             wicket_profile_mismatches += 1
     assert systems == FROZEN["full_coverage"]
     assert degree3_without_63 == 0
@@ -180,6 +176,6 @@ def test_every_covering_wicket_free_system_has_63():
     """Degree arguments say a full-coverage linear system with a vertex
     of degree 3 always carries a (6,3); the census confirms no system
     escapes both patterns."""
-    for ids in iter_linear_five_sets():
-        if not system_has_wicket(ids):
+    for ids, has_wicket, _ in iter_classified(False):
+        if not has_wicket:
             assert system_has_63(ids)

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,44 @@ def set7(tmp_path):
     path = tmp_path / "s7.txt"
     path.write_text("0\n1\n3\n")
     return str(path)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples() -> list:
+    """(argv, stdout) for every `$ wicketlab ...` line in the sh blocks of
+    README.md; the shown output runs to the next blank line, prompt or
+    end of block."""
+    examples: list = []
+    in_sh = False
+    current = None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh, current = line == "```sh", None
+        elif not in_sh or not line or line.startswith("$ "):
+            current = None
+            if in_sh and line.startswith("$ wicketlab "):
+                current = [shlex.split(line)[2:], ""]
+                examples.append(current)
+        elif current is not None:
+            current[1] += line + "\n"
+    return examples
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # The input files the examples name, with the contents that give the
+    # shown outputs.
+    (tmp_path / "caps").mkdir()
+    (tmp_path / "caps" / "dim2.txt").write_text("00\n01\n10\n11\n")
+    (tmp_path / "sets").mkdir()
+    (tmp_path / "sets" / "mod7.txt").write_text("0\n1\n3\n")
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) == 14
+    for argv, stdout in examples:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out == stdout, argv
 
 
 def test_bounds_exponent_output():

@@ -11,9 +11,8 @@ from wicketlab.coloring import color_edges, colors_needed
 from wicketlab.construction import build_eisenstein, build_f3, build_modular
 from wicketlab.eisenstein import region_points
 from wicketlab.errors import ColoringBudgetError, IncompleteWicketListError
-from wicketlab.gf3 import binary_cap
 from wicketlab.hypergraph import WicketWitness, find_wickets
-from oracles import color_edges_per_wicket, plane_wickets_point_scan
+from oracles import binary_cap, color_edges_per_wicket, plane_wickets_point_scan
 from test_construction import _plane_test_caps
 
 

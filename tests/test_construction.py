@@ -17,19 +17,20 @@ from wicketlab.construction import (
     plane_wicket_counts,
     wicket_dependency_degree,
     wicket_families,
-    wicket_system,
 )
 from wicketlab.eisenstein import EisensteinPoint, OMEGA, ROT60, ZERO, region_points
-from wicketlab.eqfree import has_solution
-from wicketlab.gf3 import CapSet, binary_cap, max_cap_exact, verify_cap
+from wicketlab.gf3 import CapSet, max_cap_exact, verify_cap
 from wicketlab.hypergraph import find_63, find_wickets, write_hypergraph_text
 from oracles import (
     ap3_free_cubic,
+    binary_cap,
     constant_solves,
     decode_wicket,
     is_linear,
     plane_wickets_point_scan,
     provenance,
+    wicket_directions,
+    wicket_system_spec,
     wickets_by_edge,
 )
 
@@ -257,7 +258,7 @@ def test_build_eisenstein_poisoned_has_wickets():
 
 def test_modular_system_constant_satisfies():
     for k in (2, 3, 4):
-        spec = wicket_system(k, k * k - k + 1)
+        spec = wicket_system_spec(k, k * k - k + 1)
         assert constant_solves(spec, 1)
 
 
@@ -266,13 +267,12 @@ def test_modular_witness_equivalence_exhaustive():
 
     for k in (2, 3):
         n = k * k - k + 1
-        spec = wicket_system(k, n)
         for r in range(1, n + 1):
             for S in combinations(range(n), r):
                 build = build_modular(S, k)
                 wickets = build_wickets(build)
                 assert wickets == find_wickets(build.hypergraph), (k, S)
-                assert bool(wickets) == (has_solution(S, spec) is not None)
+                assert bool(wickets) == (wicket_directions(S, k, n) is not None)
 
 
 def test_modular_witness_points_at_real_wicket():
@@ -299,12 +299,11 @@ def test_modular_decode_satisfies_system():
     k, S = 3, (0, 1, 4)
     n = 7
     build = build_modular(S, k)
-    spec = wicket_system(k, n)
     for wit in find_wickets(build.hypergraph):
         d = decode_wicket(build, wit)
         assert (d["s"] - d["t"] + k * d["u"] - k * d["w"]) % n == 0
         assert ((k - 1) * d["s"] + d["t"] - d["u"] - (k - 1) * d["v"]) % n == 0
-        assert not spec.is_trivial({v: d[v] for v in "stuvw"})
+        assert d["s"] != d["t"] and d["s"] != d["w"] and d["t"] != d["u"]
         assert d["y"] == (d["x"] + d["s"] - d["t"]) % n
         assert d["z"] == (d["x"] + k * d["s"] - k * d["v"]) % n
 
@@ -341,11 +340,10 @@ def test_eisenstein_solution_without_feasible_base():
     from itertools import combinations
 
     pool = region_points(3, "ring")
-    spec = wicket_system(-OMEGA)
     cases = []
     for r in (2, 3):
         for S in combinations(pool, r):
-            if has_solution(S, spec) is None:
+            if wicket_directions(S, -OMEGA) is None:
                 continue
             if build_wickets(build_eisenstein(S, 1)) == []:
                 cases.append(S)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wicketlab.construction import parse_int_set_text, wicket_system
+from wicketlab.construction import parse_int_set_text
 
 from wicketlab.eisenstein import (
     OMEGA,
@@ -30,7 +30,7 @@ from wicketlab.eqfree import (
     ruzsa_equation,
 )
 from wicketlab.errors import DomainTooLargeError, SetFileError
-from wicketlab.gf3 import all_vectors, is_ap3_free
+from wicketlab.gf3 import all_vectors, find_ap3
 from oracles import (
     F3Elem,
     constant_solves,
@@ -41,6 +41,7 @@ from oracles import (
     modular_solution_raw,
     ruzsa_max_fullenum,
     ruzsa_solution_raw,
+    wicket_system_spec,
 )
 
 RUZSA_OPTIMA = [1, 2, 2, 2, 2, 3, 4, 4, 4, 4, 4, 4]  # n = 1..12
@@ -56,10 +57,12 @@ def test_spec_validation():
 
 
 def test_ruzsa_constant_satisfies():
+    # every constant solves it, and no all-equal assignment is listed
     spec = ruzsa_equation()
     assert constant_solves(spec, 1)
-    assert spec.is_trivial({"x": 2, "y": 2, "z": 2, "w": 2})
-    assert not spec.is_trivial({"x": 1, "y": 2, "z": 2, "w": 2})
+    assert has_solution([2], spec) is None
+    sols = list(iter_nontrivial_solutions([1, 2, 3], spec))
+    assert sols and all(len(set(sol.values())) > 1 for sol in sols)
 
 
 def test_has_solution_matches_raw_scan():
@@ -75,7 +78,7 @@ def test_has_solution_returns_valid_assignment():
     sol = has_solution([1, 2, 3], spec)
     assert sol is not None
     assert 3 * sol["x"] + sol["y"] == 2 * sol["z"] + 2 * sol["w"]
-    assert not spec.is_trivial(sol)
+    assert len(set(sol.values())) > 1
 
 
 def test_modular_spec_matches_raw_scan():
@@ -122,9 +125,9 @@ def test_iter_nontrivial_solutions_matches_full_product():
         (ruzsa_equation(), range(-2, 5)),
         (modular_equation(3), range(7)),
         (equilateral_equation(), region_points(1)),
-        (wicket_system(2, 3), range(3)),
-        (wicket_system(3, 7), (0, 1, 2, 4, 5)),
-        (wicket_system(-OMEGA), region_points(1)),
+        (wicket_system_spec(2, 3), range(3)),
+        (wicket_system_spec(3, 7), (0, 1, 2, 4, 5)),
+        (wicket_system_spec(-OMEGA), region_points(1)),
         (_reduced_gf3_equation(), f3_plane),
         (ruzsa_equation(), f3_plane),
     ]
@@ -141,7 +144,7 @@ def test_iter_nontrivial_solutions_matches_full_product():
                     solves = solves and total % spec.modulus == 0
                 else:
                     solves = solves and total == total - total
-            if solves and not spec.is_trivial(assignment):
+            if solves and len(set(combo)) > 1:
                 expected.add(combo)
         found = [
             tuple(sol[var] for var in spec.variables)
@@ -197,12 +200,6 @@ def _reduced_gf3_equation():
 def test_exhaustive_matches_has_solution_search_in_order():
     # The forbidden-set branch and bound returns the same set, element
     # for element, as the search that called has_solution at every node.
-    zero_counts = EquationSpec(
-        name="x+z=2y, all-zero non-trivial",
-        variables=("x", "y", "z"),
-        relations=((("x", 1), ("y", -2), ("z", 1)),),
-        trivial=lambda a: len(set(a.values())) == 1 and a["x"] != 0,
-    )
     cases = [(ruzsa_equation(), range(1, n + 1)) for n in range(1, 19)]
     cases += [(modular_equation(k), range(k * k - k + 1)) for k in range(2, 6)]
     cases += [
@@ -212,9 +209,8 @@ def test_exhaustive_matches_has_solution_search_in_order():
     ]
     cases += [
         (_reduced_gf3_equation(), [F3Elem(v) for v in all_vectors(2)]),
-        (wicket_system(2, 3), range(3)),
-        (wicket_system(3, 7), range(7)),
-        (zero_counts, range(-4, 9)),
+        (wicket_system_spec(2, 3), range(3)),
+        (wicket_system_spec(3, 7), range(7)),
     ]
     rng = random.Random(61)
     for spec, domain in list(cases):
@@ -229,7 +225,6 @@ def test_exhaustive_matches_has_solution_search_in_order():
             domain,
         )
         assert result.verified
-    assert 0 not in max_free_exhaustive(range(-4, 9), zero_counts).elements
 
 
 def test_kill_tables_match_rescan():
@@ -321,7 +316,7 @@ def test_reduced_gf3_equation_detects_caps():
     for _ in range(60):
         S = rng.sample(vecs, rng.randrange(1, 9))
         wrapped = [F3Elem(v) for v in S]
-        assert is_free(wrapped, reduced) == is_ap3_free(S)
+        assert is_free(wrapped, reduced) == (find_ap3(S) is None)
 
 
 def test_equilateral_equation_over_points():

@@ -13,8 +13,9 @@ from wicketlab.coloring import color_edges
 from wicketlab.construction import build_f3
 from wicketlab.eisenstein import EisensteinPoint
 from wicketlab.eqfree import EquationSpec
-from wicketlab.gf3 import CapSet, binary_cap
+from wicketlab.gf3 import CapSet
 from wicketlab.hypergraph import TripartiteHypergraph
+from oracles import binary_cap
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,6 +39,38 @@ def test_tracer_sites_resolve():
     for module, attr in tracing["GENERATOR_SITES"]:
         fn = getattr(importlib.import_module(module), attr)
         assert inspect.isgeneratorfunction(fn), f"{module}.{attr}"
+
+
+def _references(tree: ast.Module) -> set:
+    """The names a module's code reads, as a name or as an attribute,
+    except where a top-level def or class refers to itself."""
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # A table name is used by the package's own code or wrapped by the
+    # benchmark's tracer; the table itself holds its names as strings,
+    # so it is no reference.
+    package = Path(wicketlab.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        used |= _references(ast.parse(path.read_text()))
+    tracing = runpy.run_path(str(TRACING))
+    wrapped = {attr for _, attr in tracing["SITES"] + tracing["GENERATOR_SITES"]}
+    unused = sorted(set(wicketlab._MODULES) - used - wrapped)
+    assert unused == []
 
 
 def _fresh(code: str) -> dict:
