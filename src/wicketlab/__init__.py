@@ -1,4 +1,4 @@
-"""Wicket-free hypergraph constructions from progression-free sets.
+"""Linear hypergraph constructions from progression-free sets.
 
 The package builds 3-partite linear 3-uniform hypergraphs whose edges
 come from translates of a solution-free set, finds the five-edge
@@ -83,7 +83,6 @@ _MODULES = {
     "f3_add": "gf3",
     "f3_neg": "gf3",
     "f3_scale": "gf3",
-    "f3_sub": "gf3",
     "find_ap3": "gf3",
     "lift_cap": "gf3",
     "load_cap_file": "gf3",

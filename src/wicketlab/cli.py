@@ -485,8 +485,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wicketlab",
         description=(
-            "Construct, color, and verify wicket-free linear tripartite "
-            "hypergraphs from progression-free sets."
+            "Construct linear tripartite hypergraphs from progression-free "
+            "sets, and color and verify their wicket-free classes."
         ),
     )
     top = parser.add_subparsers(dest="command", required=True)

@@ -30,10 +30,10 @@ Over GF(3) the wickets also come in plane families: the lifted lines of
 two directions s, t span one affine plane per coset of <t - s>, and
 the six edges in such a plane carry six wickets (one per omitted edge).
 wicket_families keeps each such family as six edge ids in one flat
-array, and any other build's wickets as families of five, with one
-by-edge index for both. The wicket count, 3^n * m * (m - 1) for m
-directions, and the dependency degree, 25m - 45, follow by formula
-(plane_wicket_counts).
+array, ordered by least lifted point as one scan of the <s, t>-cosets
+finds it, and any other build's as families of five, with one by-edge
+index for both. plane_wicket_counts gives the wicket count,
+3^n * m * (m - 1) for m directions, and the dependency degree 25m - 45.
 """
 
 from __future__ import annotations
@@ -250,9 +250,11 @@ def wicket_families(build: Build) -> tuple:
     span one affine plane per coset L of <t - s> in F_3^n; its
     construction edges are (a, s) and (a, t) for a in L, with edge id
     direction index * 3^n + encode(a). The plane meets lifted coordinate
-    r in L + r*s, so the families of one pair are listed by the least
-    encode of their plane, min(3 * encode(x + r*s) + r). A family holds
-    its s-edges, then its t-edges, each ascending.
+    r in L + r*s, so the families of one pair are listed by their least
+    lifted point (z, r): z, scanned in encode order, is the least point
+    of a new coset of <s, t>, L = z - r*s + <t - s> for r = 0, 1, 2, and
+    just r = 0 if s is in <t - s>. A family holds its s-edges, then its
+    t-edges, each ascending.
     """
     from array import array
 
@@ -269,9 +271,7 @@ def wicket_families(build: Build) -> tuple:
             ids.fromlist(families)
         return 5, edges, starts, ids
 
-    from .gf3 import f3_sub
-
-    directions = build.directions
+    m = len(build.directions)
     n_bases = len(build.bases)  # all of F_3^n in encode order
     # Points stay encoded: plus[i][e] and plus2[i][e] are the encodes
     # of decode(e) + s and decode(e) + 2s for direction i, so the
@@ -280,38 +280,36 @@ def wicket_families(build: Build) -> tuple:
     # (e, plus[i][e], plus2[i][e]).
     lines = build.hypergraph.edges
     plus, plus2 = [], []
-    for i in range(len(directions)):
+    for i in range(m):
         _, s1, s2 = zip(*lines[i * n_bases : (i + 1) * n_bases])
         plus.append(s1)
         plus2.append(s2)
     # Every edge lies in one family per other direction: the family
     # with the q-th other direction is at ids[e * stride + q], and
     # those come in ascending family order.
-    stride = max(len(directions) - 1, 0)
+    stride = max(m - 1, 0)
     starts = array("i", map(stride.__mul__, range(len(lines) + 1)))
     ids = array("i", [0]) * (len(lines) * stride)
     edges = array("i")
-    for i, s in enumerate(directions):
+    for i in range(m):
         s1, s2 = plus[i], plus2[i]
-        for j in range(i + 1, len(directions)):
+        for j in range(i + 1, m):
             t1, t2 = plus[j], plus2[j]
-            step = f3_sub(directions[j], s)
-            lead = next(k for k, x in enumerate(step) if x)
-            place = 3 ** (len(step) - 1 - lead)
-            planes = []
-            for x in range(n_bases):
-                if (x // place) % 3:
-                    continue  # one coset representative with x[lead] == 0
-                points = sorted((x, t1[s2[x]], s1[t2[x]]))
-                key = min(min(3 * y, 3 * s1[y] + 1, 3 * s2[y] + 2) for y in points)
-                planes.append((key, points))
-            planes.sort()
-            for _, points in planes:
-                family = len(edges) // 6
-                for first, q in ((i * n_bases, j - 1), (j * n_bases, i)):
+            seen = bytearray(n_bases)
+            for z in range(n_bases):
+                if seen[z]:
+                    continue  # z + <s, t> was listed from its least point
+                for x in (z, s2[z], s1[z]):  # z, z - s, z - 2s
+                    if seen[x]:
+                        break  # s in <t - s>: the coset is one family
+                    points = sorted((x, t1[s2[x]], s1[t2[x]]))
+                    family = len(edges) // 6
+                    for first, q in ((i * n_bases, j - 1), (j * n_bases, i)):
+                        for e in points:
+                            ids[(first + e) * stride + q] = family
+                            edges.append(first + e)
                     for e in points:
-                        ids[(first + e) * stride + q] = family
-                        edges.append(first + e)
+                        seen[e] = 1
     return 6, edges, starts, ids
 
 

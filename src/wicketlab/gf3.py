@@ -40,12 +40,6 @@ def f3_neg(a: Vec) -> Vec:
     return tuple((-x) % 3 for x in a)
 
 
-def f3_sub(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"dimension {len(a)} vs {len(b)}")
-    return tuple((x - y) % 3 for x, y in zip(a, b))
-
-
 def f3_scale(c: int, a: Vec) -> Vec:
     return tuple((c * x) % 3 for x in a)
 

@@ -16,7 +16,6 @@ from wicketlab.gf3 import (
     f3_add,
     f3_neg,
     f3_scale,
-    f3_sub,
     find_ap3,
     lift_cap,
     max_cap_exact,
@@ -37,7 +36,6 @@ from oracles import (
 
 def test_arithmetic_small_cases():
     assert f3_add((1, 2), (2, 2)) == (0, 1)
-    assert f3_sub((0, 1), (2, 2)) == (1, 2)
     assert f3_neg((1, 2, 0)) == (2, 1, 0)
     assert f3_scale(2, (1, 2)) == (2, 1)
 
