@@ -12,9 +12,12 @@ mask and a system a 27-bit edge mask. One walk visits the linear
 per-edge masks, and carries the (6,3) flag and the covered vertices
 down the levels. A linear 5-edge system contains a wicket only if it is
 one, so the wicket test is a lookup in the set of the 216 wicket masks.
-`use_detectors` picks the generic detectors of the hypergraph module
-instead; the two routes are independent, and the tests compare them
-with each other and with a share-table oracle on every system.
+The walk's tables come from the hypergraph module's detectors, run once
+at import on the whole grid: its incidence gives the edges that may
+join an edge, `find_63` the (6,3) closers and `find_wickets` the wicket
+masks. `use_detectors` runs the same detectors on each system instead.
+The share-table classifier in `tests/oracles.py` states the rules on
+its own, and the tests check both routes against it on every system.
 """
 
 from __future__ import annotations
@@ -34,59 +37,31 @@ VERTEX_MASK = tuple(1 << a | 1 << 3 + b | 1 << 6 + c for a, b, c in GRID_EDGES)
 ALL_VERTICES = (1 << 9) - 1
 
 
-def _edges_meeting(u: int, shared: int) -> int:
-    """Mask of the edges that meet vertex mask `u` in `shared` vertices."""
-    mask = 0
-    for j, v in enumerate(VERTEX_MASK):
-        if (u & v).bit_count() == shared:
-            mask |= 1 << j
-    return mask
-
-
-# Per edge: the edges it misses, and those it meets in exactly one vertex.
-DISJOINT = tuple(_edges_meeting(u, 0) for u in VERTEX_MASK)
-SINGLE = tuple(_edges_meeting(u, 1) for u in VERTEX_MASK)
-# Per edge e: the edges after e that may join it in a linear system.
-LINEAR_AFTER = tuple(
-    (DISJOINT[e] | SINGLE[e]) >> e + 1 << e + 1 for e in range(27)
-)
-
-
-def _six_three_closers() -> tuple:
-    """closers[a][b]: the edges c for which {a, b, c} is a (6,3). For a
-    and b meeting in vertex x, c meets each once, not at x (so the three
-    shared vertices are distinct); 0 when a and b do not share one."""
-    through = [_edges_meeting(1 << x, 1) for x in range(9)]
-    closers = [[0] * 27 for _ in range(27)]
-    for a in range(27):
-        for b in set_bits(SINGLE[a]):
-            x = (VERTEX_MASK[a] & VERTEX_MASK[b]).bit_length() - 1
-            closers[a][b] = SINGLE[a] & SINGLE[b] & ~through[x]
-    return tuple(tuple(row) for row in closers)
-
-
-def _wicket_masks() -> frozenset:
-    """Edge masks of the grid's wickets: disjoint columns i < j and three
-    pairwise disjoint rows, each meeting both columns once."""
-    masks = set()
-    for i in range(27):
-        for j in set_bits(DISJOINT[i] >> i + 1 << i + 1):
-            rows = set_bits(SINGLE[i] & SINGLE[j])
-            for r, s, t in itertools.combinations(rows, 3):
-                disjoint = DISJOINT[r] >> s & 1 and DISJOINT[r] >> t & 1
-                if disjoint and DISJOINT[s] >> t & 1:
-                    masks.add(1 << i | 1 << j | 1 << r | 1 << s | 1 << t)
-    return frozenset(masks)
-
-
-SIX_THREE_CLOSERS = _six_three_closers()
-WICKET_MASKS = _wicket_masks()
-
-
 def grid_system(ids: Iterable[int]) -> TripartiteHypergraph:
     return TripartiteHypergraph(
         class_sizes=(3, 3, 3), edges=tuple(GRID_EDGES[i] for i in ids)
     )
+
+
+# The walk's tables, read off the detectors' view of the whole grid.
+_GRID = grid_system(range(27))
+_INCIDENCE = _GRID.incidence
+# Per edge e: the edges after e that meet it in at most one vertex, so
+# may join it in a linear system.
+LINEAR_AFTER = tuple(
+    (_INCIDENCE.rows[e] | ~_INCIDENCE.touch[e]) & (1 << 27) - (2 << e)
+    for e in range(27)
+)
+# closers[a][b]: the edges c for which {a, b, c} is a (6,3); 0 when a and
+# b do not share exactly one vertex.
+_closers = [[0] * 27 for _ in range(27)]
+for _triangle in find_63(_GRID):
+    for _a, _b, _c in itertools.permutations(_triangle.edges):
+        _closers[_a][_b] |= 1 << _c
+SIX_THREE_CLOSERS = tuple(tuple(row) for row in _closers)
+WICKET_MASKS = frozenset(
+    sum(1 << f for f in w.rows + w.columns) for w in find_wickets(_GRID)
+)
 
 
 def _classified(use_detectors: bool) -> Iterator[tuple]:

@@ -113,6 +113,17 @@ class CapSet:
         return tuple(sorted(self.elements, key=encode))
 
 
+def _lines(points: list) -> Iterator[tuple]:
+    """Index triples i < j < k of the lines {a, b, -a-b} among the
+    distinct `points`, which are in encode order, in (i, j) order."""
+    index = {p: k for k, p in enumerate(points)}
+    for i, a in enumerate(points):
+        for j in range(i + 1, len(points)):
+            k = index.get(f3_neg(f3_add(a, points[j])), -1)
+            if k > j:  # each line once, from its two lowest points
+                yield i, j, k
+
+
 def find_ap3(elements: Iterable[Vec]) -> Optional[tuple]:
     """First zero-sum triple of distinct elements, or None.
 
@@ -120,14 +131,9 @@ def find_ap3(elements: Iterable[Vec]) -> Optional[tuple]:
     line, so scanning pairs and completing each to its line is enough.
     The witness is returned sorted by encode order.
     """
-    pool = set(elements)
-    ordered = sorted(pool, key=encode)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            third = f3_neg(f3_add(a, b))
-            # third == a would force b == a, so membership alone suffices
-            if third in pool and encode(third) > encode(b):
-                return (a, b, third)
+    ordered = sorted(set(elements), key=encode)
+    for i, j, k in _lines(ordered):
+        return ordered[i], ordered[j], ordered[k]
     return None
 
 
@@ -201,12 +207,7 @@ def max_cap_exact(dimension: int) -> CapSet:
 
     size = 3**dimension
     vecs = [decode(i, dimension) for i in range(size)]
-    lines = []
-    for a in range(size):
-        for b in range(a + 1, size):
-            c = encode(f3_neg(f3_add(vecs[a], vecs[b])))
-            if c > b:
-                lines.append(1 << a | 1 << b | 1 << c)
+    lines = [1 << i | 1 << j | 1 << k for i, j, k in _lines(vecs)]
     frame = 1 | sum(1 << 3**i for i in range(dimension))  # 0 and the e_i
     best = _max_free_mask(lines, size, frame)
     return CapSet(
