@@ -181,9 +181,9 @@ def cmd_build(args) -> int:
         if build.plane_families:
             wicket_count, degree = plane_wicket_counts(build)
         else:
-            wickets = build_wickets(build)
-            wicket_count = len(wickets)
-            degree = wicket_dependency_degree(wickets)
+            families = wicket_families(build)
+            wicket_count = len(families[1]) // 5
+            degree = wicket_dependency_degree(families)
         k = colors_needed(set_size)
         report = selection_report(h.vertex_count, h.edge_count, k)
         payload = {

@@ -259,12 +259,14 @@ def wicket_families(build: Build) -> tuple:
     from array import array
 
     if not build.plane_families:
-        wickets = build_wickets(build)
         # fromlist converts a list in one C loop; extend would iterate it
         edges = array("i")
-        for rows, columns in wickets:
-            edges.fromlist(sorted(rows + columns))  # the witness's edge_ids
-        through = _wickets_through(wickets, build.hypergraph.edge_count)
+        through: list = [[] for _ in range(build.hypergraph.edge_count)]
+        for f, (rows, columns) in enumerate(build_wickets(build)):
+            wicket = sorted(rows + columns)  # the witness's edge_ids
+            edges.fromlist(wicket)
+            for e in wicket:
+                through[e].append(f)
         starts = array("i", accumulate(map(len, through), initial=0))
         ids = array("i")
         for families in through:
@@ -313,15 +315,6 @@ def wicket_families(build: Build) -> tuple:
     return 6, edges, starts, ids
 
 
-def _wickets_through(wickets: Sequence[WicketWitness], edge_count: int) -> list:
-    """through[e]: the ascending indices of the wickets on edge e."""
-    through: list = [[] for _ in range(edge_count)]
-    for f, (rows, columns) in enumerate(wickets):
-        for e in rows + columns:
-            through[e].append(f)
-    return through
-
-
 def plane_wicket_counts(build: Build) -> tuple:
     """(wicket count, dependency degree) of a GF(3) build, in closed form.
 
@@ -333,8 +326,7 @@ def plane_wicket_counts(build: Build) -> tuple:
     distinct: a plane of s and u holding two of its s-edges needs
     t - s in <u - s>, so u = t or s + t + u = 0, a line in the cap. So
     the degree is 5 + 25(m - 2) = 25m - 45 for m >= 2 and 0 otherwise.
-    Equal to len(build_wickets(build)) and
-    wicket_dependency_degree(build_wickets(build)).
+    The tests check both against build_wickets and a witness-list degree.
     """
     if not build.plane_families:
         raise ValueError("closed-form wicket counts need a GF(3) build")
@@ -344,16 +336,14 @@ def plane_wicket_counts(build: Build) -> tuple:
     return len(build.bases) * m * (m - 1), 25 * m - 45
 
 
-def wicket_dependency_degree(wickets: Sequence[WicketWitness]) -> int:
-    """Max number of other wickets sharing at least one edge with one."""
-    edge_count = max((max(w.rows + w.columns) for w in wickets), default=-1) + 1
-    through = _wickets_through(wickets, edge_count)
-    # every wicket is in its own edges' lists, hence the - 1
-    return max(
-        (
-            len(set().union(*map(through.__getitem__, w.rows + w.columns))) - 1
-            for w in wickets
-        ),
-        default=0,
-    )
-
+def wicket_dependency_degree(families: tuple) -> int:
+    """Max number of other wickets sharing at least one edge with one,
+    read from the families of five of wicket_families(build): wicket f
+    meets the wickets in the buckets of its five edges."""
+    size, edges, starts, ids = families
+    if size != 5:
+        raise ValueError("the dependency degree reads families of five")
+    through = [ids[starts[e] : starts[e + 1]] for e in range(len(starts) - 1)]
+    runs = zip(*[map(through.__getitem__, edges)] * 5)
+    # every wicket is in its own edges' buckets, hence the - 1
+    return max((len(set().union(*run)) for run in runs), default=1) - 1

@@ -483,6 +483,18 @@ def wickets_by_edge(wickets) -> dict:
     return index
 
 
+def dependency_degree_by_list(wickets) -> int:
+    """Max number of other wickets sharing at least one edge with one,
+    from a list of WicketWitness regrouped by wickets_by_edge: the
+    reference for wicket_dependency_degree on the families of five."""
+    ids = [w.edge_ids for w in wickets]
+    index = wickets_by_edge(ids)
+    # every wicket is in its own edges' lists, hence the - 1
+    return max(
+        (len(set().union(*(index[e] for e in w))) - 1 for w in ids), default=0
+    )
+
+
 def color_edges_per_wicket(build, wickets, seed=0, attempts=8, factor=100):
     """The resampler as a loop over single wickets, read from a list.
 

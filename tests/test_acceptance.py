@@ -21,7 +21,6 @@ from wicketlab.construction import (
     build_f3,
     build_modular,
     build_wickets,
-    wicket_dependency_degree,
     wicket_families,
 )
 from wicketlab.eisenstein import EisensteinPoint, region_points
@@ -31,6 +30,7 @@ from wicketlab.hypergraph import find_63, find_wickets
 from oracles import (
     binary_cap,
     decode_wicket,
+    dependency_degree_by_list,
     is_linear,
     max_cap_bruteforce,
     max_cap_unpruned_symmetry,
@@ -130,7 +130,7 @@ def test_criterion_4_construction_invariants():
             d = decode_wicket(b, wit)
             ok = ok and d is not None
             ok = ok and d["t"] == d["v"] == d["w"] and d["s"] == d["u"]
-        ok = ok and wicket_dependency_degree(plane) <= 30 * size
+        ok = ok and dependency_degree_by_list(plane) <= 30 * size
     _report(4, "construction invariants", ok, time.monotonic() - t0, 60.0)
 
 

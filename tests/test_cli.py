@@ -358,11 +358,12 @@ def test_incomplete_wicket_list_maps_to_exit_2(monkeypatch, capsys, tmp_path):
 
 def test_build_f3_counts_without_enumeration(monkeypatch, capsys, tmp_path):
     # GF(3) builds report the closed-form count and degree, so neither
-    # the wicket list nor the dependency scan may run.
+    # the wickets, their families nor the dependency scan may be listed.
     def refuse(*args):
         raise AssertionError("build f3 must not enumerate wickets")
 
     monkeypatch.setattr(cli, "build_wickets", refuse)
+    monkeypatch.setattr(cli, "wicket_families", refuse)
     monkeypatch.setattr(cli, "wicket_dependency_degree", refuse)
     path = tmp_path / "cap5.txt"
     path.write_text("".join(f"{v:05b}\n" for v in range(32)))
@@ -399,12 +400,12 @@ def test_color_f3_lists_no_wickets(monkeypatch, capsys, tmp_path):
 
 
 def test_color_modular_lists_wickets_once(monkeypatch, capsys, tmp_path):
-    # color_edges lists the build's wickets itself, once; the command
-    # lists none of its own.
+    # color_edges lists the build's wickets itself, once, and so does
+    # build, through wicket_families; neither command lists its own.
     from wicketlab import construction
 
     def refuse(*args):
-        raise AssertionError("color must list wickets only in color_edges")
+        raise AssertionError("wickets are listed only in wicket_families")
 
     listed = []
     lister = construction.build_wickets
@@ -417,16 +418,21 @@ def test_color_modular_lists_wickets_once(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(construction, "build_wickets", counted)
     path = tmp_path / "s036.txt"
     path.write_text("0\n3\n6\n")
-    assert cli.main(["color", "modular", "--k", "3", "--set", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["wickets"] == 14
-    assert len(listed) == 1
+    for command in ("color", "build"):
+        listed.clear()
+        argv = [command, "modular", "--k", "3", "--set", str(path)]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["wickets"] == 14
+        assert len(listed) == 1, command
 
 
 def test_build_lists_wickets_without_the_detector(monkeypatch, capsys, tmp_path):
     # build_wickets solves the wicket system, so building a modular or an
-    # Eisenstein set runs no detector; the counts are the detector's.
+    # Eisenstein set runs no detector; the count and the degree are the
+    # detector's.
     from wicketlab import construction
     from wicketlab.eisenstein import EisensteinPoint
+    from oracles import dependency_degree_by_list
 
     def refuse(*args, **kwargs):
         raise AssertionError("build must not run the detector")
@@ -448,11 +454,14 @@ def test_build_lists_wickets_without_the_detector(monkeypatch, capsys, tmp_path)
             ),
         ),
     )
-    counts = [len(construction.find_wickets(b.hypergraph)) for _, b in runs]
+    detected = [construction.find_wickets(b.hypergraph) for _, b in runs]
     monkeypatch.setattr(construction, "find_wickets", refuse)
-    for (argv, _build), count in zip(runs, counts):
+    for (argv, _build), wickets in zip(runs, detected):
         assert cli.main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["wickets"] == count > 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["wickets"] == len(wickets) > 0
+        degree = dependency_degree_by_list(wickets)
+        assert payload["max_dependency_degree"] == degree, argv
 
 
 def test_search_ruzsa_exhaustive():

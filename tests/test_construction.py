@@ -26,6 +26,7 @@ from oracles import (
     binary_cap,
     constant_solves,
     decode_wicket,
+    dependency_degree_by_list,
     is_linear,
     plane_wickets_point_scan,
     provenance,
@@ -72,7 +73,7 @@ def test_build_f3_shape_n1():
     assert len(wickets) == 6
     size, edges, _, _ = wicket_families(b)
     assert (size, len(edges)) == (6, 6)  # one plane family
-    assert wicket_dependency_degree(wickets) == 5
+    assert dependency_degree_by_list(wickets) == 5
 
 
 def test_build_f3_shape_n2():
@@ -84,7 +85,7 @@ def test_build_f3_shape_n2():
     assert (size, len(edges)) == (6, 6 * 18)  # 18 plane families
     wickets = build_wickets(b)
     assert len(wickets) == 108
-    assert wicket_dependency_degree(wickets) == 55
+    assert dependency_degree_by_list(wickets) == 55
 
 
 def test_plane_enumeration_matches_detector():
@@ -175,12 +176,14 @@ def test_gf3_dependency_degree_closed_form():
     for cap in caps:
         b = build_f3(cap)
         wickets = build_wickets(b)
-        degree = wicket_dependency_degree(wickets)
+        degree = dependency_degree_by_list(wickets)
         m = len(cap)
         assert degree == (25 * m - 45 if m >= 2 else 0), cap
         assert plane_wicket_counts(b) == (len(wickets), degree), cap
     with pytest.raises(ValueError):
         plane_wicket_counts(build_modular(K3_FREE, 3))
+    with pytest.raises(ValueError):
+        wicket_dependency_degree(wicket_families(build_f3(binary_cap(2))))
 
 
 def test_local_lemma_slack_below_ceiling():
@@ -372,8 +375,13 @@ def test_build_wickets_matches_detector_seeded():
     wicketed = 0
     for b in builds:
         wickets = build_wickets(b)
-        assert wickets == find_wickets(b.hypergraph), b.directions
+        detected = find_wickets(b.hypergraph)
+        assert wickets == detected, b.directions
         wicketed += bool(wickets)
+        if not b.plane_families:
+            # the degree from the edge index against the detector's list
+            degree = wicket_dependency_degree(wicket_families(b))
+            assert degree == dependency_degree_by_list(detected), b.directions
     assert wicketed >= len(builds) // 4
 
 
@@ -396,11 +404,13 @@ def test_dependency_degree_bound():
     for cap in (max_cap_exact(1), binary_cap(2)):
         b = build_f3(cap)
         wickets = build_wickets(b)
-        assert wicket_dependency_degree(wickets) <= 30 * len(cap)
+        assert dependency_degree_by_list(wickets) <= 30 * len(cap)
     for n, degree in ((2, 55), (3, 155), (4, 355)):
         wickets = build_wickets(build_f3(binary_cap(n)))
-        assert wicket_dependency_degree(wickets) == degree
-    assert wicket_dependency_degree([]) == 0
+        assert dependency_degree_by_list(wickets) == degree
+    # a set free of the wicket system mod 43 gives no family at all
+    free = wicket_families(build_modular((8, 11, 18, 23, 38, 39), 7))
+    assert len(free[1]) == 0 and wicket_dependency_degree(free) == 0
 
 
 def test_golden_edges_and_provenance():
