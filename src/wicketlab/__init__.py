@@ -17,14 +17,12 @@ __version__ = "0.1.0"
 # so `import wicketlab` loads none of them.
 _MODULES = {
     "CAP_BOUND_BASELINE": "bounds",
-    "BoundsReport": "bounds",
     "asymptotic_exponent": "bounds",
     "cap_bound_base": "bounds",
     "concrete_exponent": "bounds",
     "dimension_exponent": "bounds",
     "gowers_long_constant": "bounds",
     "improves_cap_bound": "bounds",
-    "selection_report": "bounds",
     "CensusReport": "census",
     "grid_system": "census",
     "iter_classified": "census",
@@ -32,7 +30,6 @@ _MODULES = {
     "run_census": "census",
     "system_has_63": "census",
     "ColorClassSelection": "coloring",
-    "EdgeColoring": "coloring",
     "color_edges": "coloring",
     "Build": "construction",
     "build_eisenstein": "construction",
@@ -93,7 +90,6 @@ _MODULES = {
     "vec_to_string": "gf3",
     "verify_cap": "gf3",
     "write_cap_file": "gf3",
-    "SixThreeWitness": "hypergraph",
     "TripartiteHypergraph": "hypergraph",
     "WicketWitness": "hypergraph",
     "find_63": "hypergraph",

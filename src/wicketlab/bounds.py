@@ -7,7 +7,6 @@ quantity elsewhere in the package is exact.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 # Reference upper-bound base for progression-free sets in F_3^n that an
 # improved wicket Turan exponent would have to beat.
@@ -64,29 +63,3 @@ def gowers_long_constant(exponent: float) -> float:
         raise ValueError("exponent must lie strictly between 1 and 2")
     return 2.0 - exponent
 
-
-class BoundsReport(NamedTuple):
-    vertices: int
-    edges_total: int
-    edges_selected: int
-    k: int
-    exponent: float
-
-
-def selection_report(vertices: int, edges_total: int, k: int) -> BoundsReport:
-    """Report for the k-coloring selection: the largest class keeps at
-    least ceil(total/k) edges, and the exponent uses that floor."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    selected = -(-edges_total // k)
-    if selected >= 1 and vertices >= 2:
-        exponent = concrete_exponent(selected, vertices)
-    else:
-        exponent = 0.0
-    return BoundsReport(
-        vertices=vertices,
-        edges_total=edges_total,
-        edges_selected=selected,
-        k=k,
-        exponent=exponent,
-    )

@@ -56,7 +56,7 @@ LINEAR_AFTER = tuple(
 # b do not share exactly one vertex.
 _closers = [[0] * 27 for _ in range(27)]
 for _triangle in find_63(_GRID):
-    for _a, _b, _c in itertools.permutations(_triangle.edges):
+    for _a, _b, _c in itertools.permutations(_triangle):
         _closers[_a][_b] |= 1 << _c
 SIX_THREE_CLOSERS = tuple(tuple(row) for row in _closers)
 WICKET_MASKS = frozenset(

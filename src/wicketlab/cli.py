@@ -185,7 +185,7 @@ def cmd_build(args) -> int:
             wicket_count = len(families[1]) // 5
             degree = wicket_dependency_degree(families)
         k = colors_needed(set_size)
-        report = selection_report(h.vertex_count, h.edge_count, k)
+        selected = -(-h.edge_count // k)
         payload = {
             "n": n,
             "set_size": set_size,
@@ -194,8 +194,12 @@ def cmd_build(args) -> int:
             "wickets": wicket_count,
             "max_dependency_degree": degree,
             "k": k,
-            "selected_edges": report.edges_selected,
-            "exponent": round(report.exponent, 4),
+            "selected_edges": selected,
+            "exponent": (
+                round(concrete_exponent(selected, h.vertex_count), 4)
+                if selected
+                else 0.0
+            ),
         }
         if out:
             out.write(write_hypergraph_text(h))
@@ -213,17 +217,17 @@ def cmd_color(args) -> int:
         build = _make_build(args)[0]
         h = build.hypergraph
         selection = color_edges(build, seed=args.seed, attempts=args.attempts)
-        k = selection.coloring.color_count
+        k = selection.color_count
         payload = {
             "k": k,
             "seed": args.seed,
-            "attempt": selection.coloring.attempt,
-            "resamples": selection.coloring.resamples,
+            "attempt": selection.attempt,
+            "resamples": selection.resamples,
             "color": selection.color,
             "selected_edges": len(selection.edge_ids),
             "total_edges": h.edge_count,
             "lower_bound": -(-h.edge_count // k),
-            "wickets": selection.coloring.wickets,
+            "wickets": selection.wickets,
         }
         if out:
             out.write(write_hypergraph_text(selection.hypergraph))
@@ -296,16 +300,7 @@ def cmd_census(args) -> int:
     with ExitStack() as stack:
         (csv,) = _open_outputs(stack, args.csv)
         report = run_census(use_detectors=args.detectors, csv=csv)
-        payload = {
-            "total_candidates": report.total_candidates,
-            "linear": report.linear,
-            "wicket": report.wicket,
-            "six_three": report.six_three,
-            "both": report.both,
-            "full_coverage": report.full_coverage,
-            "counterexamples": [list(ids) for ids in report.counterexamples],
-            "verified": report.verified,
-        }
+        payload = {**report._asdict(), "verified": report.verified}
         if args.minimality:
             witness = minimal_free_example()
             payload["minimality_witness"] = list(witness) if witness else None

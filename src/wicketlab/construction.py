@@ -24,7 +24,8 @@ A solution yields a wicket exactly when eight side inequalities hold
 and the three bases exist; the inequalities say the five edges are
 pairwise distinct and the rows and columns are disjoint, and under R0
 and R1 they all hold unless s = t, s = w or t = u. build_wickets lists
-every family's wickets from the system in closed form.
+every family's wickets from the system in closed form, each as its five
+ascending edge ids.
 
 Over GF(3) the wickets also come in plane families: the lifted lines of
 two directions s, t span one affine plane per coset of <t - s>, and
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .errors import SetFileError
 # find_wickets is not called here, but perfbench/tracing.py wraps it here
-from .hypergraph import TripartiteHypergraph, WicketWitness, find_wickets
+from .hypergraph import TripartiteHypergraph, find_wickets
 
 # The layer of each family (gf3, eisenstein) is imported by the
 # functions that use it, so building one family does not load the other
@@ -200,7 +201,8 @@ def colors_needed(set_size: int) -> int:
 
 
 def build_wickets(build: Build) -> list:
-    """Every wicket of a build, solved from its wicket system: the list
+    """Every wicket of a build, solved from its wicket system, as its
+    five ascending edge ids: the edge_ids of the wickets that
     find_wickets(build.hypergraph) returns, in its order.
 
     lam is a unit, so R0 and R1 give s = w + lam(v - u) and
@@ -228,8 +230,8 @@ def build_wickets(build: Build) -> list:
             if y is not None and z is not None:
                 cols = sorted((first[s] + j, first[u] + y))
                 rows = sorted((first[w] + j, first[t] + y, first[v] + z))
-                found.append((tuple(cols), tuple(rows)))
-    return [WicketWitness(rows, cols) for cols, rows in sorted(found)]
+                found.append((cols, rows))
+    return [tuple(sorted(cols + rows)) for cols, rows in sorted(found)]
 
 
 def wicket_families(build: Build) -> tuple:
@@ -259,17 +261,15 @@ def wicket_families(build: Build) -> tuple:
     from array import array
 
     if not build.plane_families:
-        # fromlist converts a list in one C loop; extend would iterate it
         edges = array("i")
         through: list = [[] for _ in range(build.hypergraph.edge_count)]
-        for f, (rows, columns) in enumerate(build_wickets(build)):
-            wicket = sorted(rows + columns)  # the witness's edge_ids
-            edges.fromlist(wicket)
+        for f, wicket in enumerate(build_wickets(build)):
+            edges.extend(wicket)
             for e in wicket:
                 through[e].append(f)
         starts = array("i", accumulate(map(len, through), initial=0))
         ids = array("i")
-        for families in through:
+        for families in through:  # fromlist converts a list in one C loop
             ids.fromlist(families)
         return 5, edges, starts, ids
 
@@ -326,7 +326,7 @@ def plane_wicket_counts(build: Build) -> tuple:
     distinct: a plane of s and u holding two of its s-edges needs
     t - s in <u - s>, so u = t or s + t + u = 0, a line in the cap. So
     the degree is 5 + 25(m - 2) = 25m - 45 for m >= 2 and 0 otherwise.
-    The tests check both against build_wickets and a witness-list degree.
+    The tests check both against build_wickets and a list-based degree.
     """
     if not build.plane_families:
         raise ValueError("closed-form wicket counts need a GF(3) build")

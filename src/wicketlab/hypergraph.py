@@ -110,12 +110,6 @@ class WicketWitness(NamedTuple):
         return tuple(sorted(self.rows + self.columns))
 
 
-class SixThreeWitness(NamedTuple):
-    """Edge indices of one (6,3) triangle."""
-
-    edges: tuple[int, int, int]
-
-
 def set_bits(mask: int) -> list:
     """The set bit positions of `mask`, ascending."""
     out = []
@@ -144,11 +138,11 @@ def find_wickets(
     p, q are disjoint when bit q of touch[p] is clear.
 
     The list is ordered by (i, j), then by row triple. On a build's
-    hypergraph, `build_wickets` returns this list in this order, and
-    the tests pin the two as equal. No 5-set is reached twice: its only
-    disjoint pairs are the columns and the three row pairs, and a row
-    pair taken as columns would leave both old columns among the rows,
-    which meet the third row.
+    hypergraph, `build_wickets` returns the wickets' edge_ids in this
+    order, and the tests pin the two as equal. No 5-set is reached
+    twice: its only disjoint pairs are the columns and the three row
+    pairs, and a row pair taken as columns would leave both old columns
+    among the rows, which meet the third row.
     """
     if limit is not None and limit <= 0:
         return []
@@ -203,13 +197,13 @@ def find_63(
     """All (6,3) triangles: edges pairwise sharing exactly one vertex,
     with the three shared vertices distinct.
 
-    Each triangle is reported once, as i < j < k. For j in rows[i],
-    edges i and j share one vertex x, in the class c where they agree.
-    The third edges are rows[i] & rows[j] minus the edges through x:
-    that leaves out sunflowers (three edges through x), and a k meeting
-    i and j in one same vertex would meet them in x. Pairs that overlap
-    in two or more vertices are never in rows, so the input does not
-    have to be linear.
+    Each triangle is reported once, as the edge ids (i, j, k) with
+    i < j < k, triples ascending. For j in rows[i], edges i and j share
+    one vertex x, in the class c where they agree. The third edges are
+    rows[i] & rows[j] minus the edges through x: that leaves out
+    sunflowers (three edges through x), and a k meeting i and j in one
+    same vertex would meet them in x. Pairs that overlap in two or more
+    vertices are never in rows, so the input does not have to be linear.
     """
     if limit is not None and limit <= 0:
         return []
@@ -239,7 +233,7 @@ def find_63(
                 step = (ks & -ks).bit_length()
                 ks >>= step
                 k += step
-                found.append(SixThreeWitness(edges=(i, j, k)))
+                found.append((i, j, k))
                 if limit is not None and len(found) >= limit:
                     return found
     return found

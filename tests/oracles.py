@@ -14,11 +14,7 @@ library's `iter_nontrivial_solutions`, checked the same way, and
 import random
 from itertools import combinations
 
-from wicketlab.hypergraph import (
-    SixThreeWitness,
-    TripartiteHypergraph,
-    WicketWitness,
-)
+from wicketlab.hypergraph import TripartiteHypergraph, WicketWitness
 
 
 # ---------------------------------------------------------------- GF(3)
@@ -387,7 +383,7 @@ def six_threes_bruteforce(h: TripartiteHypergraph):
 
 
 def six_threes_in_order(h: TripartiteHypergraph, limit=None):
-    """Every (6,3) as a SixThreeWitness, in the library's list order:
+    """Every (6,3) as its edge-id triple, in the library's list order:
     the 3-subsets of edge ids in lexicographic order that pass
     is_63_triple. The reference for find_63's order and its `limit`
     prefixes, while six_threes_bruteforce is the reference for the set.
@@ -397,7 +393,7 @@ def six_threes_in_order(h: TripartiteHypergraph, limit=None):
     found = []
     for ids in combinations(range(h.edge_count), 3):
         if is_63_triple(h, ids):
-            found.append(SixThreeWitness(edges=ids))
+            found.append(ids)
             if limit is not None and len(found) >= limit:
                 return found
     return found
@@ -485,13 +481,13 @@ def wickets_by_edge(wickets) -> dict:
 
 def dependency_degree_by_list(wickets) -> int:
     """Max number of other wickets sharing at least one edge with one,
-    from a list of WicketWitness regrouped by wickets_by_edge: the
-    reference for wicket_dependency_degree on the families of five."""
-    ids = [w.edge_ids for w in wickets]
-    index = wickets_by_edge(ids)
+    from a list of wickets (edge-id tuples) regrouped by wickets_by_edge:
+    the reference for wicket_dependency_degree on the families of five."""
+    index = wickets_by_edge(wickets)
     # every wicket is in its own edges' lists, hence the - 1
     return max(
-        (len(set().union(*(index[e] for e in w))) - 1 for w in ids), default=0
+        (len(set().union(*(index[e] for e in w))) - 1 for w in wickets),
+        default=0,
     )
 
 

@@ -9,7 +9,6 @@ from wicketlab.bounds import (
     concrete_exponent,
     gowers_long_constant,
     improves_cap_bound,
-    selection_report,
 )
 
 
@@ -58,13 +57,3 @@ def test_gowers_long_constant():
     with pytest.raises(ValueError):
         gowers_long_constant(1.0)
 
-
-def test_selection_report():
-    rep = selection_report(27, 36, 5)
-    assert rep.edges_selected == 8
-    assert rep.exponent == pytest.approx(math.log(8) / math.log(27))
-    assert rep.vertices == 27 and rep.edges_total == 36 and rep.k == 5
-    empty = selection_report(27, 0, 5)
-    assert empty.edges_selected == 0 and empty.exponent == 0.0
-    tiny = selection_report(1, 10, 2)
-    assert tiny.exponent == 0.0

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -86,6 +87,25 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
     for argv, stdout in examples:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out == stdout, argv
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("name", ["construct-detect", "search-census"])
+def test_benchmark_commands_match_their_reference(name, tmp_path, capsys):
+    # The benchmark's default-seed commands, run in this process: stdout
+    # and the census CSV must match the recorded reference byte for byte.
+    # run_path compiles the workloads in memory, and the inputs go to
+    # tmp_path, so nothing is written under perfbench/.
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    reference = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())
+    commands = workloads["make_commands"](name, 0, tmp_path)
+    assert sorted(c.label for c in commands) == sorted(reference)
+    for command in commands:
+        assert cli.main(list(command.args)) == 0, command.label
+        command.validate(capsys.readouterr().out, reference)
+        command.validate_artifact(reference)
 
 
 def test_bounds_exponent_output():
@@ -235,6 +255,25 @@ def test_build_eisenstein_set_file(tmp_path):
     assert res.returncode == 0
     data = json.loads(res.stdout)
     assert data["edges"] == 54 and data["wickets"] == 0
+
+
+def test_build_exponent_is_zero_below_two_selected_edges(tmp_path, capsys):
+    # No selected edge has no logarithm, and one has logarithm 0: both
+    # report exponent 0.0.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert cli.main(["build", "modular", "--k", "3", "--set", str(empty)]) == 0
+    assert capsys.readouterr().out == (
+        '{"edges": 0, "exponent": 0.0, "k": 2, "max_dependency_degree": 0, '
+        '"n": 7, "selected_edges": 0, "set_size": 0, "vertices": 21, '
+        '"wickets": 0}\n'
+    )
+    assert cli.main(["build", "eisenstein", "--bound", "0", "--auto"]) == 0
+    assert capsys.readouterr().out == (
+        '{"edges": 1, "exponent": 0.0, "k": 4, "max_dependency_degree": 0, '
+        '"n": 0, "selected_edges": 1, "set_size": 1, "vertices": 3, '
+        '"wickets": 0}\n'
+    )
 
 
 def test_build_eisenstein_auto_region_guard():
@@ -454,7 +493,10 @@ def test_build_lists_wickets_without_the_detector(monkeypatch, capsys, tmp_path)
             ),
         ),
     )
-    detected = [construction.find_wickets(b.hypergraph) for _, b in runs]
+    detected = [
+        [w.edge_ids for w in construction.find_wickets(b.hypergraph)]
+        for _, b in runs
+    ]
     monkeypatch.setattr(construction, "find_wickets", refuse)
     for (argv, _build), wickets in zip(runs, detected):
         assert cli.main(argv) == 0

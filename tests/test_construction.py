@@ -56,6 +56,11 @@ EIS_FREE = tuple(
 EIS_POISONED = tuple(sorted(EIS_FREE + (EisensteinPoint(-1, -1),)))
 
 
+def _detected_ids(build) -> list:
+    """The detector's wickets of a build, as build_wickets lists them."""
+    return [w.edge_ids for w in find_wickets(build.hypergraph)]
+
+
 def test_build_f3_requires_verified_cap():
     raw = CapSet(dimension=1, elements=frozenset({(0,), (1,)}))
     with pytest.raises(ValueError):
@@ -91,7 +96,7 @@ def test_build_f3_shape_n2():
 def test_plane_enumeration_matches_detector():
     for cap in (max_cap_exact(1), binary_cap(2)):
         b = build_f3(cap)
-        plane = {frozenset(w.edge_ids) for w in build_wickets(b)}
+        plane = set(map(frozenset, build_wickets(b)))
         generic = {frozenset(w.edge_ids) for w in find_wickets(b.hypergraph)}
         assert plane == generic
 
@@ -129,8 +134,9 @@ def test_plane_wickets_match_point_scan_in_order():
         b = build_f3(cap)
         wickets = build_wickets(b)
         if cap.dimension <= 3:
-            assert wickets == find_wickets(b.hypergraph), cap
-        assert set(wickets) == set(plane_wickets_point_scan(b)), cap
+            assert wickets == _detected_ids(b), cap
+        scan = {w.edge_ids for w in plane_wickets_point_scan(b)}
+        assert set(wickets) == scan, cap
         m, n = len(cap), cap.dimension
         assert len(wickets) == 6 * math.comb(m, 2) * 3 ** (n - 1)
 
@@ -144,10 +150,9 @@ def test_plane_wickets_match_wicket_list(monkeypatch):
     # wickets wicket_families takes from build_wickets, patched to the scan.
     for cap in _plane_test_caps():
         b = build_f3(cap)
-        witnesses = plane_wickets_point_scan(b)
-        scan = [w.edge_ids for w in witnesses]
+        scan = [w.edge_ids for w in plane_wickets_point_scan(b)]
         listed = Build(b.directions, b.bases, b.hypergraph, b.ring, False)
-        monkeypatch.setattr(construction, "build_wickets", lambda _: witnesses)
+        monkeypatch.setattr(construction, "build_wickets", lambda _: scan)
         size, edges, starts, ids = wicket_families(b)
         assert size == 6 and len(edges) == len(scan), cap
         items = []
@@ -164,8 +169,7 @@ def test_plane_wickets_match_wicket_list(monkeypatch):
         for seed in range(5):
             one = color_edges(b, seed=seed)
             two = color_edges(listed, seed=seed)
-            assert one.coloring == two.coloring, (cap, seed)
-            assert (one.color, one.edge_ids) == (two.color, two.edge_ids)
+            assert one == two, (cap, seed)
 
 
 def test_gf3_dependency_degree_closed_form():
@@ -202,7 +206,9 @@ def test_single_direction_has_no_wickets():
 
 def test_f3_wickets_decode_to_degenerate_pattern():
     b = build_f3(binary_cap(2))
-    for wit in build_wickets(b):
+    detected = find_wickets(b.hypergraph)
+    assert build_wickets(b) == [w.edge_ids for w in detected]
+    for wit in detected:
         d = decode_wicket(b, wit)
         assert d["t"] == d["v"] == d["w"]
         assert d["s"] == d["u"]
@@ -274,7 +280,7 @@ def test_modular_witness_equivalence_exhaustive():
             for S in combinations(range(n), r):
                 build = build_modular(S, k)
                 wickets = build_wickets(build)
-                assert wickets == find_wickets(build.hypergraph), (k, S)
+                assert wickets == _detected_ids(build), (k, S)
                 assert bool(wickets) == (wicket_directions(S, k, n) is not None)
 
 
@@ -284,9 +290,10 @@ def test_modular_witness_points_at_real_wicket():
     for k, S in ((2, K2_POISONED), (3, K3_POISONED), (3, (0, 1, 4))):
         build = build_modular(S, k)
         wickets = build_wickets(build)
-        assert wickets and wickets == find_wickets(build.hypergraph)
+        detected = find_wickets(build.hypergraph)
+        assert wickets and wickets == [w.edge_ids for w in detected]
         edge_of = {pair: idx for idx, pair in enumerate(provenance(build))}
-        for wit in wickets:
+        for wit in detected:
             d = decode_wicket(build, wit)
             ids = {
                 edge_of[(d["x"], d["s"])],
@@ -318,15 +325,16 @@ def test_eisenstein_witness_equivalence_small_region():
     for r in range(1, len(region) + 1):
         for S in combinations(region, r):
             build = build_eisenstein(S, 1)
-            assert build_wickets(build) == find_wickets(build.hypergraph), S
+            assert build_wickets(build) == _detected_ids(build), S
 
 
 def test_eisenstein_witness_fixture_pair():
     assert build_wickets(build_eisenstein(EIS_FREE, 2)) == []
     build = build_eisenstein(EIS_POISONED, 2)
     wickets = build_wickets(build)
-    assert wickets and wickets == find_wickets(build.hypergraph)
-    for wit in wickets:
+    detected = find_wickets(build.hypergraph)
+    assert wickets and wickets == [w.edge_ids for w in detected]
+    for wit in detected:
         d = decode_wicket(build, wit)
         assert d["s"] - d["t"] - OMEGA * d["u"] + OMEGA * d["w"] == ZERO
         assert ROT60 * d["s"] - d["t"] + d["u"] - ROT60 * d["v"] == ZERO
@@ -375,7 +383,7 @@ def test_build_wickets_matches_detector_seeded():
     wicketed = 0
     for b in builds:
         wickets = build_wickets(b)
-        detected = find_wickets(b.hypergraph)
+        detected = _detected_ids(b)
         assert wickets == detected, b.directions
         wicketed += bool(wickets)
         if not b.plane_families:
