@@ -30,6 +30,7 @@ _MODULES = {
     "run_census": "census",
     "system_has_63": "census",
     "ColorClassSelection": "coloring",
+    "EdgeColoring": "coloring",
     "color_edges": "coloring",
     "Build": "construction",
     "build_eisenstein": "construction",

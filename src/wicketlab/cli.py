@@ -217,17 +217,17 @@ def cmd_color(args) -> int:
         build = _make_build(args)[0]
         h = build.hypergraph
         selection = color_edges(build, seed=args.seed, attempts=args.attempts)
-        k = selection.color_count
+        k = selection.coloring.color_count
         payload = {
             "k": k,
             "seed": args.seed,
-            "attempt": selection.attempt,
-            "resamples": selection.resamples,
+            "attempt": selection.coloring.attempt,
+            "resamples": selection.coloring.resamples,
             "color": selection.color,
             "selected_edges": len(selection.edge_ids),
             "total_edges": h.edge_count,
             "lower_bound": -(-h.edge_count // k),
-            "wickets": selection.wickets,
+            "wickets": selection.coloring.wickets,
         }
         if out:
             out.write(write_hypergraph_text(selection.hypergraph))

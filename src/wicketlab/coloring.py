@@ -26,19 +26,30 @@ RESAMPLE_FACTOR = 100
 SEED_STRIDE = 1000003
 
 
-class ColorClassSelection(NamedTuple):
-    """A successful coloring and its largest color class, as a
-    subhypergraph."""
-
+class EdgeColoring(NamedTuple):
     color_count: int
+    assignment: tuple  # edge id -> color
     seed: int
     attempt: int
     resamples: int
     wickets: int  # the wickets resampled against
-    assignment: tuple  # edge id -> color
-    color: int
-    edge_ids: tuple  # original edge ids, ascending
-    hypergraph: TripartiteHypergraph
+
+
+class ColorClassSelection:
+    """Largest color class of a successful coloring, as a subhypergraph.
+    Selections compare by identity."""
+
+    def __init__(
+        self,
+        coloring: EdgeColoring,
+        color: int,
+        edge_ids: tuple,  # original edge ids, ascending
+        hypergraph: TripartiteHypergraph,
+    ):
+        self.coloring = coloring
+        self.color = color
+        self.edge_ids = edge_ids
+        self.hypergraph = hypergraph
 
 
 def _shared(hues: tuple) -> tuple:
@@ -51,8 +62,7 @@ def _shared(hues: tuple) -> tuple:
 
 def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
     """Color the build's edges so no wicket is monochromatic, then
-    return the coloring with its largest color class (re-checked
-    wicket-free) in one record.
+    return the largest color class (re-checked wicket-free).
 
     A family holds a monochromatic wicket when five of its edges share a
     color; the lowest is the last five edges of that color, and the
@@ -109,6 +119,14 @@ def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
         if violated:
             continue
 
+        coloring = EdgeColoring(
+            color_count=k,
+            assignment=tuple(colors),
+            seed=seed,
+            attempt=attempt,
+            resamples=used,
+            wickets=wickets,
+        )
         counts = [0] * k
         for c in colors:
             counts[c] += 1
@@ -125,12 +143,7 @@ def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
                 "the wicket list must have been incomplete"
             )
         return ColorClassSelection(
-            color_count=k,
-            seed=seed,
-            attempt=attempt,
-            resamples=used,
-            wickets=wickets,
-            assignment=tuple(colors),
+            coloring=coloring,
             color=best_color,
             edge_ids=edge_ids,
             hypergraph=sub,

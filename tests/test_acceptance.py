@@ -145,14 +145,14 @@ def test_criterion_5_coloring():
         k = colors_needed(len(cap))
         ok = ok and k == math.ceil((120 * len(cap)) ** 0.25)
         sel = color_edges(b, seed=0)  # the path `color f3` takes
-        ok = ok and sel.color_count == k
+        ok = ok and sel.coloring.color_count == k
         m, n = len(cap), cap.dimension
-        ok = ok and sel.wickets == 6 * math.comb(m, 2) * 3 ** (n - 1)
+        ok = ok and sel.coloring.wickets == 6 * math.comb(m, 2) * 3 ** (n - 1)
         ok = ok and len(sel.edge_ids) >= math.ceil(b.hypergraph.edge_count / k)
         ok = ok and find_wickets(sel.hypergraph) == []
         again = color_edges(b, seed=0)
         ok = ok and again.edge_ids == sel.edge_ids
-        ok = ok and again.assignment == sel.assignment
+        ok = ok and again.coloring.assignment == sel.coloring.assignment
     _report(5, "coloring", ok, time.monotonic() - t0, 300.0)
 
 

@@ -92,20 +92,34 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
 @pytest.mark.parametrize("name", ["construct-detect", "search-census"])
-def test_benchmark_commands_match_their_reference(name, tmp_path, capsys):
+def test_benchmark_commands_match_their_reference(name, traced, tmp_path, capsys):
     # The benchmark's default-seed commands, run in this process: stdout
     # and the census CSV must match the recorded reference byte for byte.
-    # run_path compiles the workloads in memory, and the inputs go to
-    # tmp_path, so nothing is written under perfbench/.
+    # The traced pass runs them under the benchmark's tracer, whose
+    # counters read the results of the wrapped calls. run_path compiles
+    # the benchmark's files in memory, and the inputs go to tmp_path, so
+    # nothing is written under perfbench/.
     workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
     reference = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())
     commands = workloads["make_commands"](name, 0, tmp_path)
     assert sorted(c.label for c in commands) == sorted(reference)
-    for command in commands:
-        assert cli.main(list(command.args)) == 0, command.label
-        command.validate(capsys.readouterr().out, reference)
-        command.validate_artifact(reference)
+    tracer = runpy.run_path(str(PERFBENCH / "tracing.py"))["Tracer"]()
+    if traced:
+        tracer.install()
+    try:
+        for index, command in enumerate(commands):
+            code = tracer.call_main(cli.main, list(command.args), index)
+            assert code == 0, command.label
+            command.validate(capsys.readouterr().out, reference)
+            command.validate_artifact(reference)
+    finally:
+        tracer.uninstall()
+    if traced:
+        # every command ran under a root span, and counters were taken
+        assert sum(span[0] == "cli.main" for span in tracer.spans) == len(commands)
+        assert tracer.counts
 
 
 def test_bounds_exponent_output():

@@ -33,7 +33,7 @@ def test_colors_needed_values():
 def test_color_edges_selects_large_clean_class():
     b = build_f3(binary_cap(2))
     sel = color_edges(b, seed=0)
-    k = sel.color_count
+    k = sel.coloring.color_count
     assert k == colors_needed(4)
     assert len(sel.edge_ids) >= math.ceil(b.hypergraph.edge_count / k)
     assert find_wickets(sel.hypergraph) == []
@@ -49,7 +49,7 @@ def test_color_edges_deterministic_per_seed():
     two = color_edges(b, seed=5)
     assert one.edge_ids == two.edge_ids
     assert one.color == two.color
-    assert one.assignment == two.assignment
+    assert one.coloring.assignment == two.coloring.assignment
     other = color_edges(b, seed=6)
     # different seed may land elsewhere but must still verify
     assert find_wickets(other.hypergraph) == []
@@ -58,7 +58,7 @@ def test_color_edges_deterministic_per_seed():
 def test_color_edges_wicket_free_build_trivial():
     b = build_modular((0, 1, 3), 3)
     sel = color_edges(b, seed=0)
-    assert sel.resamples == 0
+    assert sel.coloring.resamples == 0
     assert find_wickets(sel.hypergraph) == []
 
 
@@ -152,12 +152,11 @@ def test_color_edges_matches_per_wicket_oracle(monkeypatch, factor):
                 outcomes.add(kind)
                 continue
             sel = color_edges(b, seed=seed, attempts=3)
-            got = (
-                sel.attempt, sel.resamples, sel.assignment, sel.color, sel.edge_ids
-            )
+            c = sel.coloring
+            got = (c.attempt, c.resamples, c.assignment, sel.color, sel.edge_ids)
             assert got == want, (b.directions, seed)
-            assert sel.wickets == len(wickets) and sel.seed == seed
-            outcomes.add("retried" if sel.attempt else "first")
+            assert c.wickets == len(wickets) and c.seed == seed
+            outcomes.add("retried" if c.attempt else "first")
     # with no resamples allowed, some colorings run out and some succeed
     # only on a later attempt
     assert factor or outcomes == {"budget", "retried", "first"}
