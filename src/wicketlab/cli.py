@@ -6,15 +6,16 @@ written, a domain beyond its size guard) and a stdout closed before all
 output was written, 2 verification failures and any other package error
 (a progression found in a claimed cap, a census counterexample, a color
 class still holding a wicket the lister missed), 3 exhausted resample
-budgets. The
-output files of `build`, `color` and `census` are opened before any
-work starts. All outputs are deterministic for fixed inputs and seeds;
-JSON objects are printed with sorted keys.
+budgets, 130 an interrupt (Ctrl-C). The output files of `build`,
+`color` and `census` are opened before any work starts. All outputs
+are deterministic for fixed inputs and seeds; JSON objects are printed
+with sorted keys.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -518,6 +519,11 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def console_main() -> None:
+    # The start-up heap (interpreter, site, argparse, json, this package)
+    # lives until the process ends; frozen, it is skipped by the final
+    # collections at shutdown and left to the OS. `main` does not
+    # freeze, since in-process callers run it many times.
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()
@@ -526,6 +532,9 @@ def console_main() -> None:
         # interpreter's final flush of the buffered rest stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
     sys.exit(code)
 
 

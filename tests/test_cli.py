@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -853,6 +854,60 @@ def test_closed_stdout_exits_quietly():
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert "Exception ignored" not in res.stderr
+
+
+def _console_main(argv, before=""):
+    """Run `console_main` on `argv` in a child whose last stdout line is
+    `<frozen> <exit code>`, read after `console_main` returns."""
+    code = (
+        "import gc, sys\n"
+        "from wicketlab import cli\n"
+        f"sys.argv = ['wicketlab', *{argv!r}]\n"
+        f"{before}"
+        "try:\n"
+        "    cli.console_main()\n"
+        "except SystemExit as exc:\n"
+        "    print(gc.get_freeze_count() > 0, exc.code)\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_console_main_freezes_the_start_up_heap():
+    argv = ["bounds", "gl", "--exponent", "1.5"]
+    plain = run_cli(*argv).stdout
+    assert plain == "0.5000\n"
+    assert _console_main(argv).stdout == plain + "True 0\n"
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    for _ in range(2):
+        assert cli.main(["bounds", "gl", "--exponent", "1.5"]) == 0
+    assert gc.get_freeze_count() == frozen
+    assert capsys.readouterr().out == "0.5000\n" * 2
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    # The timer interrupts the main thread inside a search that runs for
+    # minutes, the same KeyboardInterrupt that Ctrl-C raises.
+    res = _console_main(
+        ["search", "ruzsa", "--n", "200000", "--mode", "local"],
+        "import threading, _thread\n"
+        "threading.Timer(0.3, _thread.interrupt_main).start()\n",
+    )
+    assert res.stdout == "True 130\n"
+    assert res.stderr == "error: interrupted\n"
+
+
+def test_main_lets_an_interrupt_through(monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_bounds", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["bounds", "gl", "--exponent", "1.5"])
 
 
 def test_set_file_errors_exit_one(tmp_path):

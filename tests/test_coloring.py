@@ -141,6 +141,11 @@ def test_color_edges_matches_per_wicket_oracle(monkeypatch, factor):
     # wicket each time, so every result is that of the per-wicket loop;
     # a budget of 0 or 1 per wicket makes some attempts, or all, run out.
     monkeypatch.setattr(coloring, "RESAMPLE_FACTOR", factor)
+    # Each build is colored with ten seeds; list its families once (builds
+    # hash by identity, and color_edges only reads the arrays).
+    monkeypatch.setattr(
+        coloring, "wicket_families", functools.cache(construction.wicket_families)
+    )
     outcomes = set()
     for b, wickets in _oracle_inputs():
         for seed in range(10):
