@@ -48,9 +48,6 @@ class EisensteinPoint(NamedTuple):
             return EisensteinPoint(self.a * other, self.b * other)
         return NotImplemented
 
-    def __str__(self):
-        return f"({self.a},{self.b})"
-
 
 ZERO = EisensteinPoint(0, 0)
 ONE = EisensteinPoint(1, 0)

@@ -4,7 +4,9 @@ An EquationSpec is a conjunction of homogeneous linear relations over a
 commutative ring: plain integers, integers mod m, or Eisenstein points.
 A set S is free when no assignment of S-values to the variables
 satisfies every relation non-trivially, where "trivial" means all
-variables take one common value.
+variables take one common value. One enumerator,
+`iter_nontrivial_solutions`, lists the solutions as value tuples in
+`spec.variables` order; every freeness check and search reads them.
 
 Searches: exact branch and bound for small domains, greedy plus
 simulated annealing beyond that. Freeness is hereditary (dropping
@@ -66,24 +68,11 @@ class EquationSpec:
         self._plans: dict = {}  # built by iter_nontrivial_solutions
 
 
-def _relation_value(relation, assignment):
-    total = None
-    for var, coeff in relation:
-        term = coeff * assignment[var]
-        total = term if total is None else total + term
-    return total
-
-
-def _is_zero(value, modulus: Optional[int]) -> bool:
-    if value is None:
-        return True
-    if modulus is not None:
-        return value % modulus == 0
-    return value == value - value
-
-
-def _canon(value, modulus: Optional[int]):
-    return value % modulus if modulus is not None else value
+def _is_zero(terms, values: tuple, modulus: Optional[int]) -> bool:
+    """Whether the (position, coefficient) terms sum to zero on `values`."""
+    zero = values[0] - values[0]
+    total = sum((coeff * values[pos] for pos, coeff in terms), zero)
+    return total % modulus == 0 if modulus is not None else total == zero
 
 
 def _solver(coeff, modulus: Optional[int], units: bool, divide: bool):
@@ -113,45 +102,51 @@ def _solver(coeff, modulus: Optional[int], units: bool, divide: bool):
 
 
 def _plan(spec: EquationSpec, pinned, units: bool, divide: bool) -> tuple:
-    """(free, solved, rest, factor, divisor, checked) for listing the
-    solutions in which `pinned` (None: no variable) has a fixed value.
+    """(solved, rest, factor, divisor, checked) for listing the
+    solutions in which position `pinned` (None: none) has a fixed value.
 
-    `solved` is the variable of the first term, in a relation of two or
-    more terms, that is not `pinned`, appears once in its relation and
-    has a coefficient `_solver` accepts (None if no term does). It is
-    computed from `rest`, the relation's other terms as (index into
-    `free`, coefficient). The `free` variables, the pinned one included,
-    are enumerated and the `checked` relations tested afterwards.
+    Relations are compiled to (position, coefficient) terms, positions
+    into `spec.variables`. `solved` is the position of the first term,
+    in a relation of two or more terms, that is not pinned, appears once
+    in its relation and has a coefficient `_solver` accepts (None if no
+    term does). The other positions are enumerated; the solved value is
+    computed from `rest`, the relation's other terms as (index into the
+    enumerated tuple, coefficient), and inserted at its position. The
+    `checked` relations are then tested on the completed tuple.
     """
-    for ridx, relation in enumerate(spec.relations):
-        names = [var for var, _coeff in relation]
-        for tidx, (var, coeff) in enumerate(relation):
-            if len(names) < 2 or var == pinned or names.count(var) != 1:
+    relations = tuple(
+        tuple((spec.variables.index(var), c) for var, c in relation)
+        for relation in spec.relations
+    )
+    for ridx, terms in enumerate(relations):
+        places = [pos for pos, _coeff in terms]
+        for tidx, (pos, coeff) in enumerate(terms):
+            if len(places) < 2 or pos == pinned or places.count(pos) != 1:
                 continue
             solve = _solver(coeff, spec.modulus, units, divide)
             if solve is not None:
-                free = tuple(v for v in spec.variables if v != var)
                 rest = tuple(
-                    (free.index(v), c)
-                    for i, (v, c) in enumerate(relation)
+                    (p - (p > pos), c)
+                    for i, (p, c) in enumerate(terms)
                     if i != tidx
                 )
-                checked = spec.relations[:ridx] + spec.relations[ridx + 1 :]
-                return (free, var, rest, *solve, checked)
-    return spec.variables, None, (), None, None, spec.relations
+                checked = relations[:ridx] + relations[ridx + 1 :]
+                return (pos, rest, *solve, checked)
+    return None, (), None, None, relations
 
 
 def iter_nontrivial_solutions(
     S: Iterable, spec: EquationSpec, through=None
-) -> Iterator[dict]:
-    """Every non-trivial solving assignment with values drawn from S,
-    reduced mod m when the spec has a modulus.
+) -> Iterator[tuple]:
+    """Every non-trivial solution with values drawn from S, reduced mod
+    m when the spec has a modulus, as a tuple of values in
+    `spec.variables` order.
 
     When some relation carries a +-1 coefficient, that variable is
     solved from the others, saving one enumeration dimension; the
-    remaining relations are then checked on the completed assignment.
-    Otherwise every assignment is enumerated. An assignment whose
-    values are all equal is trivial and skipped.
+    remaining relations are then checked on the completed tuple.
+    Otherwise every tuple is enumerated. A tuple whose values are all
+    equal is trivial and skipped.
 
     With `through=c`, only the solutions over S | {c} that use the value
     c are listed, each once: under the first variable equal to c, which
@@ -160,13 +155,14 @@ def iter_nontrivial_solutions(
     free, these are all the solutions over S | {c}.
     """
     modulus = spec.modulus
+    width = len(spec.variables)
     values = set(S) if modulus is None else {v % modulus for v in S}
-    pins: tuple = (None,)
+    pins: Iterable = (None,)
     key = None
     if through is not None:
-        through = _canon(through, modulus)
+        through = through if modulus is None else through % modulus
         values.add(through)
-        pins = spec.variables
+        pins = range(width)
         key = modulus is None and all(isinstance(v, int) for v in values)
     plans = spec._plans.get(key)
     if plans is None:  # built once per spec and key
@@ -177,11 +173,9 @@ def iter_nontrivial_solutions(
     members = set(values)
 
     for pinned in pins:
-        free, solved, rest_terms, factor, divisor, checked = plans[pinned]
-        earlier = ()
-        if pinned is not None:
-            earlier = spec.variables[: spec.variables.index(pinned)]
-        domains = [(through,) if v == pinned else values for v in free]
+        solved, rest_terms, factor, divisor, checked = plans[pinned]
+        free = [pos for pos in range(width) if pos != solved]
+        domains = [(through,) if pos == pinned else values for pos in free]
         for combo in itertools.product(*domains):
             if solved is not None:
                 rest = None
@@ -202,23 +196,19 @@ def iter_nontrivial_solutions(
                     value %= modulus
                 if value not in members:
                     continue
-            assignment = dict(zip(free, combo))
-            if solved is not None:
-                assignment[solved] = value
-            if checked and not all(
-                _is_zero(_relation_value(r, assignment), modulus)
-                for r in checked
-            ):
+                combo = combo[:solved] + (value,) + combo[solved:]
+            if checked and not all(_is_zero(r, combo, modulus) for r in checked):
                 continue
-            if all(v == combo[0] for v in assignment.values()):
+            if combo.count(combo[0]) == width:
                 continue  # trivial: every variable takes one value
-            if earlier and any(assignment[v] == through for v in earlier):
+            if pinned and through in combo[:pinned]:
                 continue  # listed under an earlier variable
-            yield assignment
+            yield combo
 
 
-def has_solution(S: Iterable, spec: EquationSpec, through=None) -> Optional[dict]:
-    """First non-trivial solution with values drawn from S, or None.
+def has_solution(S: Iterable, spec: EquationSpec, through=None) -> Optional[tuple]:
+    """First non-trivial solution with values drawn from S, as a tuple
+    in `spec.variables` order, or None.
 
     With `through=c`, the first over S | {c} that uses c: when S is
     free, None means that S | {c} is free as well.
@@ -286,11 +276,12 @@ def _forbidden_sets(items: list, spec: EquationSpec) -> list:
     mod m, are matched to items by canonical value. A set is free
     exactly when it contains none of these masks.
     """
-    bit = {_canon(v, spec.modulus): 1 << i for i, v in enumerate(items)}
+    m = spec.modulus
+    bit = {v if m is None else v % m: 1 << i for i, v in enumerate(items)}
     masks = set()
     for solution in iter_nontrivial_solutions(items, spec):
         mask = 0
-        for value in solution.values():
+        for value in solution:
             mask |= bit[value]
         masks.add(mask)
     minimal = []

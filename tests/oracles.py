@@ -6,8 +6,9 @@ code with the package. The exceptions are earlier versions of fast
 paths, kept as references for the order of their output; of these,
 `max_free_first_by_has_solution` and `max_free_heuristic_by_full_check`
 call the library's `has_solution`, which other tests check against raw
-scans. `wicket_directions` lists the wicket system's solutions with the
-library's `iter_nontrivial_solutions`, checked the same way, and
+scans. `wicket_directions` lists the wicket system's solutions, value
+tuples in (s, t, u, v, w) order, with the library's
+`iter_nontrivial_solutions`, checked the same way, and
 `binary_cap` verifies its cap with the library's `verify_cap`.
 """
 
@@ -866,15 +867,17 @@ def wicket_system_spec(lam, modulus=None):
 
 
 def wicket_directions(S, lam, modulus=None):
-    """The first solution of the wicket system over S with s != t,
-    s != w and t != u, or None: under R0 and R1 the other solutions
-    repeat an edge, so these are the direction sets of the wickets
-    (three bases permitting). Every all-equal assignment has s = t."""
+    """The first solution (s, t, u, v, w) of the wicket system over S
+    with s != t, s != w and t != u, or None: under R0 and R1 the other
+    solutions repeat an edge, so these are the direction sets of the
+    wickets (three bases permitting). Every all-equal assignment has
+    s = t."""
     from wicketlab.eqfree import iter_nontrivial_solutions
 
     spec = wicket_system_spec(lam, modulus)
     for d in iter_nontrivial_solutions(S, spec):
-        if d["s"] != d["t"] and d["s"] != d["w"] and d["t"] != d["u"]:
+        s, t, u, _v, w = d
+        if s != t and s != w and t != u:
             return d
     return None
 

@@ -17,6 +17,7 @@ from wicketlab.eqfree import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     TRIANGLE_EXHAUSTIVE_LIMIT,
     EquationSpec,
+    _forbidden_sets,
     _max_free_mask,
     equilateral_equation,
     greedy_free_set,
@@ -39,6 +40,7 @@ from oracles import (
     max_free_heuristic_by_full_check,
     max_free_mask_by_rescan,
     modular_solution_raw,
+    ruzsa_bad_masks,
     ruzsa_max_fullenum,
     ruzsa_solution_raw,
     wicket_system_spec,
@@ -62,7 +64,7 @@ def test_ruzsa_constant_satisfies():
     assert constant_solves(spec, 1)
     assert has_solution([2], spec) is None
     sols = list(iter_nontrivial_solutions([1, 2, 3], spec))
-    assert sols and all(len(set(sol.values())) > 1 for sol in sols)
+    assert sols and all(len(set(sol)) > 1 for sol in sols)
 
 
 def test_has_solution_matches_raw_scan():
@@ -77,8 +79,9 @@ def test_has_solution_returns_valid_assignment():
     spec = ruzsa_equation()
     sol = has_solution([1, 2, 3], spec)
     assert sol is not None
-    assert 3 * sol["x"] + sol["y"] == 2 * sol["z"] + 2 * sol["w"]
-    assert len(set(sol.values())) > 1
+    x, y, z, w = sol
+    assert 3 * x + y == 2 * z + 2 * w
+    assert len(set(sol)) > 1
 
 
 def test_modular_spec_matches_raw_scan():
@@ -109,8 +112,8 @@ def test_iter_nontrivial_solutions_complete():
         if not x == y == (2 * x - y) % 3
     )
     assert len(sols) == expected
-    for sol in sols:
-        assert (2 * sol["x"] - sol["y"] - sol["z"]) % 3 == 0
+    for x, y, z in sols:
+        assert (2 * x - y - z) % 3 == 0
 
 
 def test_iter_nontrivial_solutions_matches_full_product():
@@ -146,22 +149,14 @@ def test_iter_nontrivial_solutions_matches_full_product():
                     solves = solves and total == total - total
             if solves and len(set(combo)) > 1:
                 expected.add(combo)
-        found = [
-            tuple(sol[var] for var in spec.variables)
-            for sol in iter_nontrivial_solutions(values, spec)
-        ]
+        found = list(iter_nontrivial_solutions(values, spec))
         assert len(found) == len(set(found)), spec.name
         assert set(found) == expected, spec.name
-        assert has_solution(values, spec) == (
-            dict(zip(spec.variables, found[0])) if found else None
-        )
+        assert has_solution(values, spec) == (found[0] if found else None)
         for c in values:
             using_c = {combo for combo in expected if c in combo}
             for S in (values, [v for v in values if v != c]):
-                found = [
-                    tuple(sol[var] for var in spec.variables)
-                    for sol in iter_nontrivial_solutions(S, spec, through=c)
-                ]
+                found = list(iter_nontrivial_solutions(S, spec, through=c))
                 assert len(found) == len(set(found)), (spec.name, c)
                 assert set(found) == using_c, (spec.name, c)
                 assert (has_solution(S, spec, through=c) is None) == (
@@ -187,6 +182,30 @@ def test_exhaustive_matches_full_enumeration():
         res = max_free_exhaustive(tuple(range(1, n + 1)), spec)
         assert res.size == ruzsa_max_fullenum(n) == RUZSA_OPTIMA[n - 1]
         assert res.optimal and res.verified
+
+
+def test_forbidden_sets_are_the_minimal_solution_sets():
+    # The exact search's forbidden sets against raw scans: for Ruzsa
+    # over 1..n the oracle's solution value sets, for kx - (k-1)y = z
+    # the value sets of every non-trivial triple over Z/(k^2 - k + 1).
+    def minimal(masks):
+        return {m for m in masks if not any(o != m and o & m == o for o in masks)}
+
+    spec = ruzsa_equation()
+    for n in range(1, 13):
+        forbidden = _forbidden_sets(list(range(1, n + 1)), spec)
+        assert len(forbidden) == len(set(forbidden)), n
+        assert set(forbidden) == minimal(set(ruzsa_bad_masks(n))), n
+    for k in (2, 3, 4):
+        n = k * k - k + 1
+        solution_sets = {
+            (1 << x) | (1 << y) | (1 << z)
+            for x, y, z in itertools.product(range(n), repeat=3)
+            if (k * x - (k - 1) * y - z) % n == 0 and not x == y == z
+        }
+        forbidden = _forbidden_sets(list(range(n)), modular_equation(k))
+        assert len(forbidden) == len(set(forbidden)), k
+        assert set(forbidden) == minimal(solution_sets), k
 
 
 def _reduced_gf3_equation():
@@ -328,8 +347,9 @@ def test_equilateral_equation_over_points():
     ]
     sol = has_solution(corners, spec)
     assert sol is not None
-    assert sol["t"] - sol["w"] == OMEGA * (sol["w"] - sol["v"])
-    assert equilateral_by_sides(sol["t"], sol["v"], sol["w"])
+    t, v, w = sol
+    assert t - w == OMEGA * (w - v)
+    assert equilateral_by_sides(t, v, w)
     assert is_free(
         [EisensteinPoint(0, 0), EisensteinPoint(1, 0), EisensteinPoint(0, 1)], spec
     )
