@@ -28,7 +28,6 @@ _MODULES = {
     "iter_classified": "census",
     "minimal_free_example": "census",
     "run_census": "census",
-    "system_has_63": "census",
     "ColorClassSelection": "coloring",
     "EdgeColoring": "coloring",
     "color_edges": "coloring",

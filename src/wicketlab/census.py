@@ -107,15 +107,6 @@ def _classified(use_detectors: bool) -> Iterator[tuple]:
                         yield ids, has_w, has_63, covers
 
 
-def system_has_63(ids) -> bool:
-    """(6,3) test: three edges, pairwise sharing one vertex, with the
-    three shared vertices distinct."""
-    closers = SIX_THREE_CLOSERS
-    return any(
-        closers[a][b] >> c & 1 for a, b, c in itertools.combinations(ids, 3)
-    )
-
-
 def detector_classify(ids) -> tuple:
     h = grid_system(ids)
     return (
@@ -183,11 +174,13 @@ def minimal_free_example() -> Optional[tuple]:
     """First 4-edge linear system with no (6,3) (a wicket needs five
     edges, so none of these can contain one)."""
     after = LINEAR_AFTER
+    closers = SIX_THREE_CLOSERS
     for e1 in range(27):
         for e2 in set_bits(after[e1]):
             cand3 = after[e1] & after[e2]
-            for e3 in set_bits(cand3):
-                for e4 in set_bits(cand3 & after[e3]):
-                    if not system_has_63((e1, e2, e3, e4)):
-                        return e1, e2, e3, e4
+            closes2 = closers[e1][e2]
+            for e3 in set_bits(cand3 & ~closes2):
+                closes3 = closes2 | closers[e1][e3] | closers[e2][e3]
+                for e4 in set_bits(cand3 & after[e3] & ~closes3):
+                    return e1, e2, e3, e4
     return None

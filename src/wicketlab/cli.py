@@ -124,7 +124,8 @@ def cmd_cap(args) -> int:
         cap = product_cap(left, right)
     else:  # lift
         cap = load_cap_file(args.cap)
-        _check_domain(len(cap) * args.dimension, "--dimension", "coordinates")
+        size = max(len(cap), 1) * args.dimension  # an empty cap's pad too
+        _check_domain(size, "--dimension", "coordinates")
         cap = lift_cap(cap, args.dimension)
     if args.out:
         write_cap_file(cap, args.out)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import operator
 from itertools import accumulate, product
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import SetFileError
 # find_wickets is not called here, but perfbench/tracing.py wraps it here
@@ -140,8 +140,8 @@ def build_modular(elements: Iterable[int], k: int) -> Build:
     return _build(elems, residues, residues, 1, k, add=lambda a, b: (a + b) % n)
 
 
-def parse_int_set_text(text: str, modulus: Optional[int] = None) -> tuple:
-    """One integer per line; '#' comments and blanks ignored."""
+def parse_int_set_text(text: str, modulus: int) -> tuple:
+    """One ASCII decimal residue per line; '#' comments, blanks ignored."""
     values: list = []
     seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,14 +149,15 @@ def parse_int_set_text(text: str, modulus: Optional[int] = None) -> tuple:
         if not line or line.startswith("#"):
             continue
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError  # int() also reads 1_0 and non-ASCII digits
             value = int(line)
         except ValueError:
             raise SetFileError(f"not an integer: {line!r}", lineno) from None
-        if modulus is not None:
-            if not 0 <= value < modulus:
-                raise SetFileError(
-                    f"{value} outside residue range 0..{modulus - 1}", lineno
-                )
+        if not 0 <= value < modulus:
+            raise SetFileError(
+                f"{value} outside residue range 0..{modulus - 1}", lineno
+            )
         if value in seen:
             raise SetFileError(f"duplicate value {value}", lineno)
         seen.add(value)
@@ -164,8 +165,8 @@ def parse_int_set_text(text: str, modulus: Optional[int] = None) -> tuple:
     return tuple(sorted(values))
 
 
-def load_int_set_file(path, modulus: Optional[int] = None) -> tuple:
-    return parse_int_set_text(Path(path).read_text(), modulus=modulus)
+def load_int_set_file(path, modulus: int) -> tuple:
+    return parse_int_set_text(Path(path).read_text(), modulus)
 
 
 def build_eisenstein(

@@ -105,7 +105,7 @@ def region_points(bound: int, norm: str = "coordinate") -> tuple:
 
 
 def parse_eisenstein_set_text(text: str) -> tuple:
-    """One "a,b" lattice pair per line; '#' comments and blanks ignored."""
+    """One ASCII decimal "a,b" per line; '#' comments, blanks ignored."""
     points: list = []
     seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -116,6 +116,8 @@ def parse_eisenstein_set_text(text: str) -> tuple:
         if len(parts) != 2:
             raise SetFileError(f"expected 'a,b', got {line!r}", lineno)
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError  # int() also reads 1_0 and non-ASCII digits
             point = EisensteinPoint(int(parts[0]), int(parts[1]))
         except ValueError:
             raise SetFileError(f"non-integer pair {line!r}", lineno) from None

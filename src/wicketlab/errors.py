@@ -19,13 +19,11 @@ class DimensionMismatchError(WicketlabError, ValueError):
 
 
 class _ParseError(WicketlabError, ValueError):
-    """An input file could not be parsed; `line` is 1-based or None."""
+    """An input file could not be parsed at `line`, 1-based."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 class CapFileError(_ParseError):
@@ -35,9 +33,9 @@ class CapFileError(_ParseError):
 class CapVerificationError(WicketlabError):
     """A set claimed to be progression-free contains a zero-sum triple."""
 
-    def __init__(self, witness, message: str = "set contains a progression"):
+    def __init__(self, witness):
         self.witness = witness
-        super().__init__(f"{message}: {witness}")
+        super().__init__(f"set contains a progression: {witness}")
 
 
 class SetFileError(_ParseError):

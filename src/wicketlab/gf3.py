@@ -79,7 +79,7 @@ def string_to_vec(text: str) -> Vec:
 
 class CapSet:
     """A finite subset of F_3^n, optionally verified progression-free.
-    Caps are equal when dimension, elements and `verified` agree."""
+    Caps compare by identity, even with equal fields."""
 
     def __init__(
         self, dimension: int, elements: frozenset, verified: bool = False
@@ -88,25 +88,8 @@ class CapSet:
         self.elements = elements
         self.verified = verified
 
-    def _key(self) -> tuple:
-        return (self.dimension, self.elements, self.verified)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, vec: Vec) -> bool:
-        return vec in self.elements
-
-    def __iter__(self) -> Iterator[Vec]:
-        return iter(self.sorted_elements)
 
     @cached_property
     def sorted_elements(self) -> tuple:

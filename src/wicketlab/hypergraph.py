@@ -27,7 +27,8 @@ class Incidence(NamedTuple):
 
 
 class TripartiteHypergraph:
-    """Class sizes and edges; hypergraphs with equal ones are equal."""
+    """Class sizes and edges; hypergraphs compare by identity, even
+    with equal ones."""
 
     def __init__(
         self, class_sizes: tuple[int, int, int], edges: tuple[Edge, ...]
@@ -50,16 +51,6 @@ class TripartiteHypergraph:
             checked.append(e)
         self.class_sizes = sizes
         self.edges = tuple(checked)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.class_sizes == other.class_sizes and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.class_sizes, self.edges))
 
     @property
     def vertex_count(self) -> int:

@@ -8,7 +8,6 @@ from wicketlab.census import (
     iter_classified,
     minimal_free_example,
     run_census,
-    system_has_63,
 )
 from wicketlab.hypergraph import find_63, find_wickets
 from oracles import (
@@ -47,7 +46,7 @@ def test_grid_edges_table():
 
 def test_known_wicket_ids():
     assert (WICKET_IDS, True, False) in iter_classified(False)
-    assert not system_has_63(WICKET_IDS)
+    assert not share_table_has_63(WICKET_IDS)
     h = grid_system(WICKET_IDS)
     assert len(find_wickets(h)) == 1
     assert find_63(h) == []
@@ -104,9 +103,12 @@ def test_bitmask_oracle_and_detector_classifiers_agree():
 
 
 def test_classifiers_match_oracle_on_any_ids():
-    """The public (6,3) test keeps the share-table results on inputs the
-    census never makes: non-linear systems, other sizes and repeated
-    edges."""
+    """The (6,3) detector on a grid system keeps the share-table
+    results on inputs the census never makes: non-linear systems, other
+    sizes and repeated edges."""
+    def has_63(ids):
+        return bool(find_63(grid_system(ids), limit=1))
+
     rng = random.Random(13)
     linear = grid_linear_systems(5)
     for _ in range(3000):
@@ -114,9 +116,9 @@ def test_classifiers_match_oracle_on_any_ids():
             ids = tuple(rng.sample(rng.choice(linear), 5))
         else:
             ids = tuple(rng.randrange(27) for _ in range(rng.randint(0, 7)))
-        assert system_has_63(ids) == share_table_has_63(ids), ids
+        assert has_63(ids) == share_table_has_63(ids), ids
     for ids in itertools.combinations(range(27), 3):
-        assert system_has_63(ids) == share_table_has_63(ids), ids
+        assert has_63(ids) == share_table_has_63(ids), ids
 
 
 def test_iter_classified_rows():
@@ -144,7 +146,7 @@ def test_minimal_free_example_is_valid():
     assert is_linear(h)
     assert find_63(h) == []
     assert find_wickets(h) == []
-    assert not system_has_63(ids)
+    assert not share_table_has_63(ids)
     free = (s for s in grid_linear_systems(4) if not share_table_has_63(s))
     assert ids == next(free)
 
@@ -162,7 +164,7 @@ def test_degree_audit():
         systems += 1
         profile = tuple(sorted(_degrees(ids).values(), reverse=True))
         profiles[profile] += 1
-        if profile[0] >= 3 and not system_has_63(ids):
+        if profile[0] >= 3 and not share_table_has_63(ids):
             degree3_without_63 += 1
         if has_wicket and profile != WICKET_DEGREE_PROFILE:
             wicket_profile_mismatches += 1
@@ -178,4 +180,4 @@ def test_every_covering_wicket_free_system_has_63():
     escapes both patterns."""
     for ids, has_wicket, _ in iter_classified(False):
         if not has_wicket:
-            assert system_has_63(ids)
+            assert share_table_has_63(ids)

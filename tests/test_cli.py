@@ -691,6 +691,13 @@ def test_search_exhaustive_guard_names_the_cli_option(argv, size, limit, capsys)
             "--dimension asks for 1000004 coordinates; the limit is 1000000",
         ),
         (
+            [
+                "cap", "lift", "--cap", "/dev/null", "--dimension", "1000001",
+                "--out", "{dir}/lifted.txt",
+            ],
+            "--dimension asks for 1000001 coordinates; the limit is 1000000",
+        ),
+        (
             ["build", "f3", "--cap", "{cap13}"],
             "--cap asks for 1594323 domain candidates; the limit is 1000000",
         ),
@@ -727,6 +734,7 @@ def test_search_exhaustive_guard_names_the_cli_option(argv, size, limit, capsys)
         "search-modular-k-1",
         "bounds-exponent-n",
         "cap-lift-dimension",
+        "cap-lift-empty-dimension",
         "build-f3-dimension",
         "color-f3-dimension",
         "cap-product-size",
@@ -891,10 +899,13 @@ def test_main_leaves_the_heap_unfrozen(capsys):
 
 def test_interrupt_exits_130_without_a_traceback():
     # The timer interrupts the main thread inside a search that runs for
-    # minutes, the same KeyboardInterrupt that Ctrl-C raises.
+    # minutes, the same KeyboardInterrupt that Ctrl-C raises. The handler
+    # is installed first: a run started as a background job inherits an
+    # ignored SIGINT, and interrupt_main then does nothing.
     res = _console_main(
         ["search", "ruzsa", "--n", "200000", "--mode", "local"],
-        "import threading, _thread\n"
+        "import signal, threading, _thread\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
         "threading.Timer(0.3, _thread.interrupt_main).start()\n",
     )
     assert res.stdout == "True 130\n"

@@ -372,13 +372,18 @@ def test_max_triangle_free_heuristic_path():
 
 
 def test_parse_int_set_text():
-    assert parse_int_set_text("3\n1\n# c\n\n2\n") == (1, 2, 3)
+    assert parse_int_set_text("3\n1\n# c\n\n2\n", 7) == (1, 2, 3)
     assert parse_int_set_text("5\n1\n", modulus=7) == (1, 5)
     with pytest.raises(SetFileError) as info:
-        parse_int_set_text("1\nx\n")
+        parse_int_set_text("1\nx\n", 7)
     assert "line 2" in str(info.value)
+    # int() would read these as 1, 10 and 3
+    for bad in ("0_1", "1_0", "\u0663"):
+        with pytest.raises(SetFileError) as info:
+            parse_int_set_text(f"2\n{bad}\n", 7)
+        assert str(info.value) == f"line 2: not an integer: {bad!r}"
     with pytest.raises(SetFileError) as info:
-        parse_int_set_text("1\n1\n")
+        parse_int_set_text("1\n1\n", 7)
     assert "line 2" in str(info.value)
     with pytest.raises(SetFileError) as info:
         parse_int_set_text("9\n", modulus=7)
@@ -393,3 +398,8 @@ def test_parse_eisenstein_set_text():
     assert "line 2" in str(info.value)
     with pytest.raises(SetFileError):
         parse_eisenstein_set_text("0,1\n0,1\n")
+    # int() would read these as 1, 10 and 3
+    for bad in ("0_1,2", "1_0,2", "\u0663,0"):
+        with pytest.raises(SetFileError) as info:
+            parse_eisenstein_set_text(f"0,1\n{bad}\n")
+        assert str(info.value) == f"line 2: non-integer pair {bad!r}"
