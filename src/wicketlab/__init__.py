@@ -91,7 +91,6 @@ _MODULES = {
     "verify_cap": "gf3",
     "write_cap_file": "gf3",
     "TripartiteHypergraph": "hypergraph",
-    "WicketWitness": "hypergraph",
     "find_63": "hypergraph",
     "find_wickets": "hypergraph",
     "write_hypergraph_text": "hypergraph",

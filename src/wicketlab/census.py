@@ -59,9 +59,7 @@ for _triangle in find_63(_GRID):
     for _a, _b, _c in itertools.permutations(_triangle):
         _closers[_a][_b] |= 1 << _c
 SIX_THREE_CLOSERS = tuple(tuple(row) for row in _closers)
-WICKET_MASKS = frozenset(
-    sum(1 << f for f in w.rows + w.columns) for w in find_wickets(_GRID)
-)
+WICKET_MASKS = frozenset(sum(1 << f for f in w) for w in find_wickets(_GRID))
 
 
 def _classified(use_detectors: bool) -> Iterator[tuple]:

@@ -79,9 +79,20 @@ def _int_at_least(low: int):
     return parse
 
 
-def _open_outputs(stack: ExitStack, *paths) -> list:
-    """Open each given output path for writing (None stays None), so a
-    path that cannot be written fails before any work starts."""
+def _open_outputs(stack: ExitStack, args, *dests: str) -> list:
+    """Open the files the output options `dests` name (an unset one
+    stays None), so a path that cannot be written fails before any work
+    starts. A file that two outputs, or an output and the input file
+    (`--cap`, `--set`), both name is refused first: opening it would
+    empty the input or lose an output."""
+    named: dict = {}
+    for dest in ("cap", "set", *dests):
+        path = getattr(args, dest, None)
+        if path:
+            other = named.setdefault(os.path.realpath(path), dest)
+            if other != dest:
+                raise ValueError(f"--{other} and --{dest} name one file: {path}")
+    paths = [getattr(args, dest) for dest in dests]
     return [stack.enter_context(open(p, "w")) if p else None for p in paths]
 
 
@@ -177,7 +188,7 @@ def _make_build(args):
 def cmd_build(args) -> int:
     _bind("bounds", "construction", "hypergraph")
     with ExitStack() as stack:
-        out, report_file = _open_outputs(stack, args.out, args.report)
+        out, report_file = _open_outputs(stack, args, "out", "report")
         build, n, set_size = _make_build(args)
         h = build.hypergraph
         if build.plane_families:
@@ -215,7 +226,7 @@ def cmd_build(args) -> int:
 def cmd_color(args) -> int:
     _bind("coloring", "construction", "hypergraph")
     with ExitStack() as stack:
-        (out,) = _open_outputs(stack, args.out)
+        (out,) = _open_outputs(stack, args, "out")
         build = _make_build(args)[0]
         h = build.hypergraph
         selection = color_edges(build, seed=args.seed, attempts=args.attempts)
@@ -300,7 +311,7 @@ def cmd_search(args) -> int:
 def cmd_census(args) -> int:
     _bind("census")
     with ExitStack() as stack:
-        (csv,) = _open_outputs(stack, args.csv)
+        (csv,) = _open_outputs(stack, args, "csv")
         report = run_census(use_detectors=args.detectors, csv=csv)
         payload = {**report._asdict(), "verified": report.verified}
         if args.minimality:
@@ -361,12 +372,10 @@ def _fill_families(parser) -> tuple:
     sub = parser.add_subparsers(dest="family", required=True)
     f3 = sub.add_parser("f3", help="lines over GF(3) vectors from a cap file")
     f3.add_argument("--cap", required=True, help="cap file (base-3 lines)")
-    f3.set_defaults(family="f3")
 
     mod = sub.add_parser("modular", help="residue construction mod k^2-k+1")
     mod.add_argument("--k", type=_int_at_least(2), required=True)
     mod.add_argument("--set", required=True, help="set file, one residue per line")
-    mod.set_defaults(family="modular")
 
     eis = sub.add_parser("eisenstein", help="triangular-lattice construction")
     eis.add_argument("--bound", type=_int_at_least(0), required=True)
@@ -380,7 +389,6 @@ def _fill_families(parser) -> tuple:
         action="store_true",
         help="use the exact largest triangle-free subset of the region",
     )
-    eis.set_defaults(family="eisenstein", set=None)
     return f3, mod, eis
 
 

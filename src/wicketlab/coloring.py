@@ -29,7 +29,6 @@ SEED_STRIDE = 1000003
 class EdgeColoring(NamedTuple):
     color_count: int
     assignment: tuple  # edge id -> color
-    seed: int
     attempt: int
     resamples: int
     wickets: int  # the wickets resampled against
@@ -122,7 +121,6 @@ def color_edges(build, seed: int = 0, attempts: int = 8) -> ColorClassSelection:
         coloring = EdgeColoring(
             color_count=k,
             assignment=tuple(colors),
-            seed=seed,
             attempt=attempt,
             resamples=used,
             wickets=wickets,

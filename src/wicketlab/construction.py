@@ -175,7 +175,9 @@ def build_eisenstein(
     """(a, a-s, a+ws) with bases a in a lattice disc.
 
     All three vertex classes use the same expanded point list, padded
-    so that every edge endpoint has an index even at the boundary.
+    so that every edge endpoint has an index even at the boundary. An
+    equilateral-free set may still hold wickets: a 120-degree isosceles
+    triple s, t, u with apex t solves the wicket system with v = w = t.
     """
     from .eisenstein import OMEGA, ZERO, region_points
 
@@ -203,8 +205,8 @@ def colors_needed(set_size: int) -> int:
 
 def build_wickets(build: Build) -> list:
     """Every wicket of a build, solved from its wicket system, as its
-    five ascending edge ids: the edge_ids of the wickets that
-    find_wickets(build.hypergraph) returns, in its order.
+    five ascending edge ids: the list find_wickets(build.hypergraph)
+    returns, in its order.
 
     lam is a unit, so R0 and R1 give s = w + lam(v - u) and
     t = s + lam(u - w). Each (u, v, w) in S^3 with s and t in S, and

@@ -152,7 +152,8 @@ def iter_nontrivial_solutions(
     c are listed, each once: under the first variable equal to c, which
     is pinned to c while another term of a relation is solved by a unit
     coefficient or, over integer values, by exact division. When S is
-    free, these are all the solutions over S | {c}.
+    free, these are all the solutions over S | {c}. Such a check takes
+    3|S| steps for kx - (k-1)y = z and 4|S|^2 for 3x + y = 2z + 2w.
     """
     modulus = spec.modulus
     width = len(spec.variables)

@@ -90,17 +90,6 @@ class TripartiteHypergraph:
         return Incidence((ta, tb, tc), tuple(rows), tuple(touch))
 
 
-class WicketWitness(NamedTuple):
-    """Row/column edge indices of one wicket; rows and columns sorted."""
-
-    rows: tuple[int, int, int]
-    columns: tuple[int, int]
-
-    @property
-    def edge_ids(self) -> tuple:
-        return tuple(sorted(self.rows + self.columns))
-
-
 def set_bits(mask: int) -> list:
     """The set bit positions of `mask`, ascending."""
     out = []
@@ -114,7 +103,7 @@ def set_bits(mask: int) -> list:
 def find_wickets(
     h: TripartiteHypergraph, limit: Optional[int] = None
 ) -> list:
-    """All wickets, each 5-edge set once.
+    """All wickets, each 5-edge set once, as its five ascending edge ids.
 
     Columns are pairs i < j of disjoint edges; rows are edges meeting
     both columns in exactly one vertex (their third vertex then falls
@@ -129,11 +118,11 @@ def find_wickets(
     p, q are disjoint when bit q of touch[p] is clear.
 
     The list is ordered by (i, j), then by row triple. On a build's
-    hypergraph, `build_wickets` returns the wickets' edge_ids in this
-    order, and the tests pin the two as equal. No 5-set is reached
-    twice: its only disjoint pairs are the columns and the three row
-    pairs, and a row pair taken as columns would leave both old columns
-    among the rows, which meet the third row.
+    hypergraph, `build_wickets` returns the same list, and the tests pin
+    the two as equal. No 5-set is reached twice: its only disjoint pairs
+    are the columns and the three row pairs, and a row pair taken as
+    columns would leave both old columns among the rows, which meet the
+    third row.
     """
     if limit is not None and limit <= 0:
         return []
@@ -174,9 +163,7 @@ def find_wickets(
                         er = candidates[r]
                         if tpq >> er & 1:
                             continue
-                        found.append(
-                            WicketWitness(rows=(ep, eq, er), columns=(i, j))
-                        )
+                        found.append(tuple(sorted((i, j, ep, eq, er))))
                         if limit is not None and len(found) >= limit:
                             return found
     return found

@@ -15,7 +15,7 @@ tuples in (s, t, u, v, w) order, with the library's
 import random
 from itertools import combinations
 
-from wicketlab.hypergraph import TripartiteHypergraph, WicketWitness
+from wicketlab.hypergraph import TripartiteHypergraph
 
 
 # ---------------------------------------------------------------- GF(3)
@@ -204,7 +204,8 @@ def wickets_bruteforce(h: TripartiteHypergraph):
 
 
 def wickets_column_scan(h: TripartiteHypergraph, limit=None):
-    """Every wicket as a WicketWitness, in the library's list order.
+    """Every wicket as its five ascending edge ids, in the library's
+    list order.
 
     For each pair i < j of disjoint edges taken as columns, scan all m
     edges for candidate rows meeting both in exactly one vertex, then
@@ -242,12 +243,7 @@ def wickets_column_scan(h: TripartiteHypergraph, limit=None):
                         er = candidates[r]
                         if (vsets[ep] & vsets[er]) or (vsets[eq] & vsets[er]):
                             continue
-                        found.append(
-                            WicketWitness(
-                                rows=tuple(sorted((ep, eq, er))),
-                                columns=(i, j),
-                            )
-                        )
+                        found.append(tuple(sorted((i, j, ep, eq, er))))
                         if limit is not None and len(found) >= limit:
                             return found
     return found
@@ -259,25 +255,37 @@ def provenance(build) -> tuple:
     return tuple((a, s) for s in build.directions for a in build.bases)
 
 
-def decode_wicket(build, witness: WicketWitness):
-    """The construction labeling of a wicket, or None if it has none.
+def decode_wicket(build, ids):
+    """The construction labeling of the wicket on edge ids `ids`, or
+    None if it has none.
 
+    The columns are the two edges that meet three of the other four
+    (a row meets only the two columns); None if no such pair exists.
     Returns bases x, y, z and directions s, t, u, v, w with columns
     (x, s), (y, u) and rows (x, w), (y, t), (z, v). Both column orders
     are tried; the share pattern is checked on raw vertex indices.
     """
-    edges = build.hypergraph.edges
+    h = build.hypergraph
+    edges = h.edges
     prov = provenance(build)
-    for c1, c2 in (witness.columns, witness.columns[::-1]):
+    vertices = {e: edge_vertices(h, e) for e in ids}
+    columns = [
+        e for e in ids
+        if sum(bool(vertices[e] & vertices[f]) for f in ids if f != e) == 3
+    ]
+    if len(columns) != 2:
+        return None
+    rows = [e for e in ids if e not in columns]
+    for c1, c2 in (columns, columns[::-1]):
         x, s = prov[c1]
         y, u = prov[c2]
         r1 = r2 = None
-        for r in witness.rows:
+        for r in rows:
             if prov[r][0] == x:
                 r1 = r
             elif prov[r][0] == y:
                 r2 = r
-        rest = [r for r in witness.rows if r != r1 and r != r2]
+        rest = [r for r in rows if r != r1 and r != r2]
         if r1 is None or r2 is None or len(rest) != 1:
             continue
         r3 = rest[0]
@@ -298,7 +306,8 @@ def decode_wicket(build, witness: WicketWitness):
 
 
 def plane_wickets_point_scan(build):
-    """Every wicket of a GF(3) build, in the library's list order.
+    """Every wicket of a GF(3) build as its five ascending edge ids, in
+    plane-family order.
 
     For each direction pair s before t, scan all 3^(n+1) lifted points
     in encode order; an unseen point is the least point of a new plane
@@ -359,12 +368,9 @@ def plane_wickets_point_scan(build):
                     edges_b.append(edge_of[(point_b[:-1], t0)])
                 edges_a.sort()
                 edges_b.sort()
-                for omitted in edges_a:
-                    cols = tuple(e for e in edges_a if e != omitted)
-                    wickets.append(WicketWitness(rows=tuple(edges_b), columns=cols))
-                for omitted in edges_b:
-                    cols = tuple(e for e in edges_b if e != omitted)
-                    wickets.append(WicketWitness(rows=tuple(edges_a), columns=cols))
+                family = edges_a + edges_b
+                for omitted in family:
+                    wickets.append(tuple(sorted(set(family) - {omitted})))
     return wickets
 
 

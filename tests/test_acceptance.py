@@ -125,7 +125,7 @@ def test_criterion_4_construction_invariants():
         plane = build_wickets(b)
         ok = ok and len(plane) == wickets
         detected = find_wickets(h)
-        ok = ok and plane == [w.edge_ids for w in detected]
+        ok = ok and plane == detected
         for wit in detected:
             d = decode_wicket(b, wit)
             ok = ok and d is not None
@@ -197,7 +197,7 @@ def test_criterion_7_cross_module_equivalence():
         for S in combinations(region, r):
             b = build_eisenstein(S, 1)
             detected = find_wickets(b.hypergraph)
-            ok = ok and build_wickets(b) == [w.edge_ids for w in detected]
+            ok = ok and build_wickets(b) == detected
     free6 = tuple(
         sorted(
             {
@@ -217,7 +217,7 @@ def test_criterion_7_cross_module_equivalence():
     poisoned_build = build_eisenstein(poisoned6, 2)
     listed = build_wickets(poisoned_build)
     detected = find_wickets(poisoned_build.hypergraph)
-    ok = ok and len(listed) > 0 and listed == [w.edge_ids for w in detected]
+    ok = ok and len(listed) > 0 and listed == detected
     _report(7, "cross-module equivalence", ok, time.monotonic() - t0, 60.0)
 
 
@@ -229,23 +229,23 @@ def test_criterion_8_detector_properties():
     for _ in range(70):
         h = random_linear_hypergraph(rng, sizes=(4, 4, 4), edges=rng.randrange(5, 13))
         instances += 1
-        ok = ok and {frozenset(w.edge_ids) for w in find_wickets(h)} == wickets_bruteforce(h)
+        ok = ok and set(map(frozenset, find_wickets(h))) == wickets_bruteforce(h)
         ok = ok and set(map(frozenset, find_63(h))) == six_threes_bruteforce(h)
     for _ in range(40):
         h = random_hypergraph(rng, sizes=(5, 5, 5), edges=rng.randrange(8, 21))
         instances += 1
         ok = ok and set(map(frozenset, find_63(h))) == six_threes_bruteforce(h)
         if h.edge_count <= 12:
-            ok = ok and {frozenset(w.edge_ids) for w in find_wickets(h)} == wickets_bruteforce(h)
+            ok = ok and set(map(frozenset, find_wickets(h))) == wickets_bruteforce(h)
     ok = ok and instances >= 100
 
     for _ in range(20):
         h = random_linear_hypergraph(rng, sizes=(4, 4, 4), edges=10)
         shuffled, edge_map = relabeled(h, rng)
         before_w = {
-            frozenset(edge_map[i] for i in w.edge_ids) for w in find_wickets(h)
+            frozenset(edge_map[i] for i in w) for w in find_wickets(h)
         }
-        after_w = {frozenset(w.edge_ids) for w in find_wickets(shuffled)}
+        after_w = set(map(frozenset, find_wickets(shuffled)))
         ok = ok and before_w == after_w
         before_t = {
             frozenset(edge_map[i] for i in w) for w in find_63(h)

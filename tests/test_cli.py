@@ -1,8 +1,10 @@
+import argparse
 import gc
 import hashlib
 import json
 import math
 import os
+import re
 import runpy
 import shlex
 import subprocess
@@ -88,6 +90,36 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
     for argv, stdout in examples:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out == stdout, argv
+
+
+def _long_options(parser) -> set:
+    """The long options of a parser and of all its sub-parsers, --help
+    aside."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _long_options(sub)
+        found.update(o for o in action.option_strings if o.startswith("--"))
+    return found - {"--help"}
+
+
+def test_readme_documents_every_option():
+    # Each command's section of README.md names every option of the
+    # command, so trimming the text cannot drop a documented input.
+    text = README.read_text()
+    (top,) = (
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, parser in top.choices.items():
+        section = re.split(r"\n##", text.split(f"\n### {name}\n")[1])[0]
+        missing = [
+            option
+            for option in sorted(_long_options(parser))
+            if not re.search(re.escape(option) + r"(?![\w-])", section)
+        ]
+        assert not missing, (name, missing)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -508,10 +540,7 @@ def test_build_lists_wickets_without_the_detector(monkeypatch, capsys, tmp_path)
             ),
         ),
     )
-    detected = [
-        [w.edge_ids for w in construction.find_wickets(b.hypergraph)]
-        for _, b in runs
-    ]
+    detected = [construction.find_wickets(b.hypergraph) for _, b in runs]
     monkeypatch.setattr(construction, "find_wickets", refuse)
     for (argv, _build), wickets in zip(runs, detected):
         assert cli.main(argv) == 0
@@ -807,6 +836,42 @@ def test_path_through_a_file_exits_1(argv, cap2, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     written = [p for p in tmp_path.iterdir() if str(p) != cap2]
     assert all(p.read_text() == "" for p in written)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "f3", "--cap", "c.txt", "--report", "c.txt"], "--cap and --report"),
+        (["color", "f3", "--cap", "c.txt", "--out", "./c.txt"], "--cap and --out"),
+        (
+            ["color", "modular", "--k", "3", "--set", "s.txt", "--out", "s.txt"],
+            "--set and --out",
+        ),
+        (
+            [
+                "build", "modular", "--k", "3", "--set", "s.txt",
+                "--out", "o.txt", "--report", "sub/../o.txt",
+            ],
+            "--out and --report",
+        ),
+    ],
+    ids=["build-report-cap", "color-out-cap", "color-out-set", "build-out-report"],
+)
+def test_output_naming_an_input_or_output_exits_1(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    # Opening the output first would empty the input file, or drop one
+    # of two outputs; the file is refused before any is opened.
+    monkeypatch.chdir(tmp_path)
+    inputs = {"c.txt": "00\n01\n10\n11\n", "s.txt": "0\n1\n3\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message} name one file: ")
+    assert err.count("\n") == 1
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == inputs
 
 
 def test_census_cli(tmp_path):

@@ -56,11 +56,6 @@ EIS_FREE = tuple(
 EIS_POISONED = tuple(sorted(EIS_FREE + (EisensteinPoint(-1, -1),)))
 
 
-def _detected_ids(build) -> list:
-    """The detector's wickets of a build, as build_wickets lists them."""
-    return [w.edge_ids for w in find_wickets(build.hypergraph)]
-
-
 def test_build_f3_requires_verified_cap():
     raw = CapSet(dimension=1, elements=frozenset({(0,), (1,)}))
     with pytest.raises(ValueError):
@@ -97,7 +92,7 @@ def test_plane_enumeration_matches_detector():
     for cap in (max_cap_exact(1), binary_cap(2)):
         b = build_f3(cap)
         plane = set(map(frozenset, build_wickets(b)))
-        generic = {frozenset(w.edge_ids) for w in find_wickets(b.hypergraph)}
+        generic = set(map(frozenset, find_wickets(b.hypergraph)))
         assert plane == generic
 
 
@@ -134,8 +129,8 @@ def test_plane_wickets_match_point_scan_in_order():
         b = build_f3(cap)
         wickets = build_wickets(b)
         if cap.dimension <= 3:
-            assert wickets == _detected_ids(b), cap
-        scan = {w.edge_ids for w in plane_wickets_point_scan(b)}
+            assert wickets == find_wickets(b.hypergraph), cap
+        scan = set(plane_wickets_point_scan(b))
         assert set(wickets) == scan, cap
         m, n = len(cap), cap.dimension
         assert len(wickets) == 6 * math.comb(m, 2) * 3 ** (n - 1)
@@ -150,7 +145,7 @@ def test_plane_wickets_match_wicket_list(monkeypatch):
     # wickets wicket_families takes from build_wickets, patched to the scan.
     for cap in _plane_test_caps():
         b = build_f3(cap)
-        scan = [w.edge_ids for w in plane_wickets_point_scan(b)]
+        scan = plane_wickets_point_scan(b)
         listed = Build(b.directions, b.bases, b.hypergraph, b.ring, False)
         monkeypatch.setattr(construction, "build_wickets", lambda _: scan)
         size, edges, starts, ids = wicket_families(b)
@@ -208,7 +203,7 @@ def test_single_direction_has_no_wickets():
 def test_f3_wickets_decode_to_degenerate_pattern():
     b = build_f3(binary_cap(2))
     detected = find_wickets(b.hypergraph)
-    assert build_wickets(b) == [w.edge_ids for w in detected]
+    assert build_wickets(b) == detected
     for wit in detected:
         d = decode_wicket(b, wit)
         assert d["t"] == d["v"] == d["w"]
@@ -217,11 +212,9 @@ def test_f3_wickets_decode_to_degenerate_pattern():
 
 
 def test_decode_rejects_foreign_witness():
-    from wicketlab.hypergraph import WicketWitness
-
-    b = build_f3(max_cap_exact(1))
-    # edges 0 and 3 share the class-A vertex 0, so this split is no wicket
-    assert decode_wicket(b, WicketWitness((0, 1, 3), (2, 4))) is None
+    b = build_f3(binary_cap(2))
+    # five disjoint edges of one direction: no edge meets three others
+    assert decode_wicket(b, (0, 1, 2, 3, 4)) is None
 
 
 def test_edge_order_is_deterministic():
@@ -281,7 +274,7 @@ def test_modular_witness_equivalence_exhaustive():
             for S in combinations(range(n), r):
                 build = build_modular(S, k)
                 wickets = build_wickets(build)
-                assert wickets == _detected_ids(build), (k, S)
+                assert wickets == find_wickets(build.hypergraph), (k, S)
                 assert bool(wickets) == (wicket_directions(S, k, n) is not None)
 
 
@@ -292,7 +285,7 @@ def test_modular_witness_points_at_real_wicket():
         build = build_modular(S, k)
         wickets = build_wickets(build)
         detected = find_wickets(build.hypergraph)
-        assert wickets and wickets == [w.edge_ids for w in detected]
+        assert wickets and wickets == detected
         edge_of = {pair: idx for idx, pair in enumerate(provenance(build))}
         for wit in detected:
             d = decode_wicket(build, wit)
@@ -303,7 +296,7 @@ def test_modular_witness_points_at_real_wicket():
                 edge_of[(d["y"], d["t"])],
                 edge_of[(d["z"], d["v"])],
             }
-            assert ids == set(wit.edge_ids)
+            assert ids == set(wit)
 
 
 def test_modular_decode_satisfies_system():
@@ -326,7 +319,7 @@ def test_eisenstein_witness_equivalence_small_region():
     for r in range(1, len(region) + 1):
         for S in combinations(region, r):
             build = build_eisenstein(S, 1)
-            assert build_wickets(build) == _detected_ids(build), S
+            assert build_wickets(build) == find_wickets(build.hypergraph), S
 
 
 def test_eisenstein_witness_fixture_pair():
@@ -334,7 +327,7 @@ def test_eisenstein_witness_fixture_pair():
     build = build_eisenstein(EIS_POISONED, 2)
     wickets = build_wickets(build)
     detected = find_wickets(build.hypergraph)
-    assert wickets and wickets == [w.edge_ids for w in detected]
+    assert wickets and wickets == detected
     for wit in detected:
         d = decode_wicket(build, wit)
         assert d["s"] - d["t"] - OMEGA * d["u"] + OMEGA * d["w"] == ZERO
@@ -384,7 +377,7 @@ def test_build_wickets_matches_detector_seeded():
     wicketed = 0
     for b in builds:
         wickets = build_wickets(b)
-        detected = _detected_ids(b)
+        detected = find_wickets(b.hypergraph)
         assert wickets == detected, b.directions
         wicketed += bool(wickets)
         if not b.plane_families:

@@ -110,11 +110,8 @@ def test_linearity():
 
 def test_find_wickets_on_canonical_grid():
     found = find_wickets(GRID_WICKET)
-    assert len(found) == 1
-    wit = found[0]
-    assert wit.rows == (0, 1, 2)
-    assert wit.columns == (3, 4)
-    assert is_wicket_quintuple(GRID_WICKET, wit.edge_ids)
+    assert found == [(0, 1, 2, 3, 4)]
+    assert is_wicket_quintuple(GRID_WICKET, found[0])
 
 
 def test_wicket_needs_all_nine_vertices():
@@ -145,7 +142,7 @@ def test_detectors_match_bruteforce_small():
     rng = random.Random(5)
     for _ in range(25):
         h = random_linear_hypergraph(rng, sizes=(4, 4, 4), edges=9)
-        assert {frozenset(w.edge_ids) for w in find_wickets(h)} == wickets_bruteforce(h)
+        assert set(map(frozenset, find_wickets(h))) == wickets_bruteforce(h)
         assert set(map(frozenset, find_63(h))) == six_threes_bruteforce(h)
     for _ in range(25):
         h = random_hypergraph(rng, sizes=(3, 3, 3), edges=8)
@@ -188,7 +185,7 @@ def test_find_wickets_matches_column_scan_in_order():
         for limit in (None, 1, 2):
             found = find_wickets(h, limit)
             assert found == wickets_column_scan(h, limit)
-            assert all(is_wicket_quintuple(h, w.edge_ids) for w in found)
+            assert all(is_wicket_quintuple(h, w) for w in found)
         total += len(find_wickets(h))
     assert total > 0
 
@@ -206,7 +203,7 @@ def test_repeated_edges_are_separate_edges():
     # A repeat meets its twin in three vertices, so the two never share
     # a wicket or a (6,3), and each copy closes its own.
     h = TripartiteHypergraph((3, 3, 3), GRID_WICKET.edges + ((0, 0, 0),))
-    assert [w.edge_ids for w in find_wickets(h)] == [
+    assert find_wickets(h) == [
         (0, 1, 2, 3, 4), (1, 2, 3, 4, 5)
     ]
     t = TripartiteHypergraph((2, 2, 2), TRIANGLE.edges * 2)
@@ -222,7 +219,7 @@ def test_repeated_edges_are_separate_edges():
         h.edges.count(h.edges[e]) > 1
         for h in inputs
         for w in find_wickets(h)
-        for e in w.edge_ids
+        for e in w
     )
 
 
