@@ -64,7 +64,6 @@ _MODULES = {
     "max_triangle_free": "eqfree",
     "modular_equation": "eqfree",
     "ruzsa_equation": "eqfree",
-    "CapFileError": "errors",
     "CapVerificationError": "errors",
     "ColoringBudgetError": "errors",
     "DimensionMismatchError": "errors",

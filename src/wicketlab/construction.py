@@ -44,7 +44,7 @@ from itertools import accumulate, product
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import SetFileError
+from .errors import _ascii_int, _read_set_text
 # find_wickets is not called here, but perfbench/tracing.py wraps it here
 from .hypergraph import TripartiteHypergraph, find_wickets
 
@@ -141,28 +141,18 @@ def build_modular(elements: Iterable[int], k: int) -> Build:
 
 
 def parse_int_set_text(text: str, modulus: int) -> tuple:
-    """One ASCII decimal residue per line; '#' comments, blanks ignored."""
-    values: list = []
-    seen: set = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    """One ASCII decimal residue per line, read by `_read_set_text`."""
+
+    def parse(line: str) -> int:
         try:
-            if not line.isascii() or "_" in line:
-                raise ValueError  # int() also reads 1_0 and non-ASCII digits
-            value = int(line)
+            value = _ascii_int(line)
         except ValueError:
-            raise SetFileError(f"not an integer: {line!r}", lineno) from None
+            raise ValueError(f"not an integer: {line!r}") from None
         if not 0 <= value < modulus:
-            raise SetFileError(
-                f"{value} outside residue range 0..{modulus - 1}", lineno
-            )
-        if value in seen:
-            raise SetFileError(f"duplicate value {value}", lineno)
-        seen.add(value)
-        values.append(value)
-    return tuple(sorted(values))
+            raise ValueError(f"{value} outside residue range 0..{modulus - 1}")
+        return value
+
+    return _read_set_text(text, parse)
 
 
 def load_int_set_file(path, modulus: int) -> tuple:

@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import SetFileError
+from .errors import _ascii_int, _read_set_text
 
 
 class EisensteinPoint(NamedTuple):
@@ -104,28 +104,19 @@ def region_points(bound: int, norm: str = "coordinate") -> tuple:
     return tuple(sorted(points))
 
 
+def _parse_point(line: str) -> EisensteinPoint:
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected 'a,b', got {line!r}")
+    try:
+        return EisensteinPoint(_ascii_int(parts[0]), _ascii_int(parts[1]))
+    except ValueError:
+        raise ValueError(f"non-integer pair {line!r}") from None
+
+
 def parse_eisenstein_set_text(text: str) -> tuple:
-    """One ASCII decimal "a,b" per line; '#' comments, blanks ignored."""
-    points: list = []
-    seen: set = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise SetFileError(f"expected 'a,b', got {line!r}", lineno)
-        try:
-            if not line.isascii() or "_" in line:
-                raise ValueError  # int() also reads 1_0 and non-ASCII digits
-            point = EisensteinPoint(int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise SetFileError(f"non-integer pair {line!r}", lineno) from None
-        if point in seen:
-            raise SetFileError(f"duplicate point {line}", lineno)
-        seen.add(point)
-        points.append(point)
-    return tuple(sorted(points))
+    """One ASCII decimal "a,b" per line, read by `_read_set_text`."""
+    return _read_set_text(text, _parse_point)
 
 
 def load_eisenstein_set_file(path) -> tuple:

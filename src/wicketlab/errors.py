@@ -1,13 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the reader of cap
+and set files.
 
-The CLI maps these onto exit codes by base class: the ValueErrors (cap
-and set files that cannot be parsed, domains beyond a size guard,
-mismatched dimensions) exit 1, ColoringBudgetError exits 3, and every
-other WicketlabError exits 2; these are the verification failures,
-including a color class still holding a wicket the lister missed.
+The CLI maps these onto exit codes by base class: the ValueErrors
+(SetFileError, the one parse error of cap and set files; domains beyond
+a size guard; mismatched dimensions) exit 1, ColoringBudgetError exits
+3, and every other WicketlabError exits 2; these are the verification
+failures, including a color class still holding a wicket the lister
+missed.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 
 class WicketlabError(Exception):
@@ -18,18 +22,6 @@ class DimensionMismatchError(WicketlabError, ValueError):
     """Vectors of different dimensions were combined."""
 
 
-class _ParseError(WicketlabError, ValueError):
-    """An input file could not be parsed at `line`, 1-based."""
-
-    def __init__(self, message: str, line: int):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-class CapFileError(_ParseError):
-    """A cap file could not be parsed."""
-
-
 class CapVerificationError(WicketlabError):
     """A set claimed to be progression-free contains a zero-sum triple."""
 
@@ -38,8 +30,38 @@ class CapVerificationError(WicketlabError):
         super().__init__(f"set contains a progression: {witness}")
 
 
-class SetFileError(_ParseError):
-    """A set file (integers or lattice pairs) could not be parsed."""
+class SetFileError(WicketlabError, ValueError):
+    """A cap or set file could not be parsed at the line it names."""
+
+
+def _read_set_text(text: str, parse: Callable) -> tuple:
+    """The sorted values of a cap or set file, by the rules all three
+    formats share: lines are stripped, blank and '#' lines skipped, and
+    `parse` maps each other line to a value or raises ValueError. That,
+    or a value already read, is a SetFileError naming the line."""
+    seen: dict = {}  # value -> the line it was read from
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = parse(line)
+        except ValueError as exc:
+            raise SetFileError(f"line {lineno}: {exc}") from None
+        if value in seen:
+            raise SetFileError(
+                f"line {lineno}: duplicate of line {seen[value]}: {line!r}"
+            )
+        seen[value] = lineno
+    return tuple(sorted(seen))
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) for an ASCII decimal with an optional sign: int() alone
+    also reads `_` separators and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
 
 
 # The most candidates a CLI domain may list: 1..n for `search ruzsa`,

@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
-    CapFileError,
     CapVerificationError,
     DimensionMismatchError,
     DomainTooLargeError,
+    _read_set_text,
 )
 
 Vec = tuple[int, ...]
@@ -201,30 +201,22 @@ def max_cap_exact(dimension: int) -> CapSet:
 def parse_cap_text(text: str) -> CapSet:
     """Parse the base-3 line format and verify progression-freeness.
 
-    One element per line, most significant digit first; blank lines and
-    lines starting with '#' are ignored. The first data line fixes the
-    dimension. An empty file is the empty cap in dimension 0.
+    One element per line, most significant digit first, read by
+    `_read_set_text`. The first element fixes the dimension. An empty
+    file is the empty cap in dimension 0.
     """
     dimension: Optional[int] = None
-    elements: list[Vec] = []
-    seen: set[Vec] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not all(ch in "012" for ch in line):
-            raise CapFileError(f"invalid base-3 digits {line!r}", lineno)
-        if dimension is None:
-            dimension = len(line)
-        elif len(line) != dimension:
-            raise CapFileError(
-                f"expected {dimension} digits, got {len(line)}", lineno
-            )
+
+    def parse(line: str) -> Vec:
+        nonlocal dimension
         vec = string_to_vec(line)
-        if vec in seen:
-            raise CapFileError(f"duplicate element {line!r}", lineno)
-        seen.add(vec)
-        elements.append(vec)
+        if dimension is None:
+            dimension = len(vec)
+        elif len(vec) != dimension:
+            raise ValueError(f"expected {dimension} digits, got {len(vec)}")
+        return vec
+
+    elements = _read_set_text(text, parse)
     if dimension is None:
         return CapSet(0, frozenset(), True)
     return verify_cap(dimension, elements)

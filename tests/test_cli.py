@@ -986,12 +986,25 @@ def test_main_lets_an_interrupt_through(monkeypatch):
         cli.main(["bounds", "gl", "--exponent", "1.5"])
 
 
-def test_set_file_errors_exit_one(tmp_path):
+@pytest.mark.parametrize("undecodable", [False, True], ids=["repeat", "undecodable"])
+@pytest.mark.parametrize(
+    "argv, repeated",
+    [
+        (["cap", "verify"], b"01\n01\n"),
+        (["build", "modular", "--k", "3", "--set"], b"1\n1\n"),
+        (["build", "eisenstein", "--bound", "2", "--set"], b"0,1\n0,1\n"),
+    ],
+    ids=["cap", "modular", "eisenstein"],
+)
+def test_set_file_errors_exit_one(tmp_path, argv, repeated, undecodable):
     bad = tmp_path / "s.txt"
-    bad.write_text("1\n1\n")
-    res = run_cli("build", "modular", "--k", "3", "--set", str(bad))
+    bad.write_bytes(b"\xff" if undecodable else repeated)
+    res = run_cli(*argv, str(bad))
     assert res.returncode == 1
-    assert "line 2" in res.stderr
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in res.stderr
+    if not undecodable:
+        assert "line 2" in res.stderr
 
 
 def test_modular_set_out_of_range(tmp_path):

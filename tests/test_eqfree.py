@@ -31,7 +31,7 @@ from wicketlab.eqfree import (
     ruzsa_equation,
 )
 from wicketlab.errors import DomainTooLargeError, SetFileError
-from wicketlab.gf3 import all_vectors, find_ap3
+from wicketlab.gf3 import all_vectors, find_ap3, parse_cap_text
 from oracles import (
     F3Elem,
     constant_solves,
@@ -403,3 +403,24 @@ def test_parse_eisenstein_set_text():
         with pytest.raises(SetFileError) as info:
             parse_eisenstein_set_text(f"0,1\n{bad}\n")
         assert str(info.value) == f"line 2: non-integer pair {bad!r}"
+
+
+# The line rules the three file formats share: each parser with two
+# entries and the first entry written again in another way.
+SET_FILE_PARSERS = [
+    (lambda text: parse_cap_text(text).sorted_elements, "01", "10", " 01\t"),
+    (functools.partial(parse_int_set_text, modulus=7), "1", "3", "01"),
+    (parse_eisenstein_set_text, "0,1", "-1,2", " 0 , 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, first, second, again", SET_FILE_PARSERS, ids=["cap", "residue", "point"]
+)
+def test_set_files_share_line_rules(parse, first, second, again):
+    padded = f"# header\n\n  {second}  \n\t\n   # note\n\t{first}\n"
+    values = parse(padded)
+    assert len(values) == 2 and values == parse(f"{first}\n{second}\n")
+    with pytest.raises(SetFileError) as info:
+        parse(f"{first}\n# c\n\n{second}\n{again}\n")
+    assert str(info.value) == f"line 5: duplicate of line 1: {again.strip()!r}"

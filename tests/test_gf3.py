@@ -3,10 +3,10 @@ import random
 import pytest
 
 from wicketlab.errors import (
-    CapFileError,
     CapVerificationError,
     DimensionMismatchError,
     DomainTooLargeError,
+    SetFileError,
 )
 from wicketlab.gf3 import (
     CapSet,
@@ -171,19 +171,19 @@ def test_parse_cap_text_empty_file():
 
 
 def test_parse_cap_text_bad_digit_line_number():
-    with pytest.raises(CapFileError) as info:
+    with pytest.raises(SetFileError) as info:
         parse_cap_text("00\n0x\n")
     assert "line 2" in str(info.value)
 
 
 def test_parse_cap_text_length_mismatch():
-    with pytest.raises(CapFileError) as info:
+    with pytest.raises(SetFileError) as info:
         parse_cap_text("00\n011\n")
     assert "line 2" in str(info.value)
 
 
 def test_parse_cap_text_duplicate():
-    with pytest.raises(CapFileError) as info:
+    with pytest.raises(SetFileError) as info:
         parse_cap_text("00\n01\n00\n")
     assert "line 3" in str(info.value)
 
