@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate, product
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import _ascii_int, _read_set_text
+from .errors import _ascii_int, _read_set_text, _set_file_text
 # find_wickets is not called here, but perfbench/tracing.py wraps it here
 from .hypergraph import TripartiteHypergraph, find_wickets
 
@@ -156,7 +155,7 @@ def parse_int_set_text(text: str, modulus: int) -> tuple:
 
 
 def load_int_set_file(path, modulus: int) -> tuple:
-    return parse_int_set_text(Path(path).read_text(), modulus)
+    return parse_int_set_text(_set_file_text(path), modulus)
 
 
 def build_eisenstein(

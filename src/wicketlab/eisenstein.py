@@ -8,10 +8,9 @@ w^2 = -1 - w, 1 + w = e^{i*pi/3} (the rotation by pi/3), and
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import _ascii_int, _read_set_text
+from .errors import _ascii_int, _read_set_text, _set_file_text
 
 
 class EisensteinPoint(NamedTuple):
@@ -120,4 +119,4 @@ def parse_eisenstein_set_text(text: str) -> tuple:
 
 
 def load_eisenstein_set_file(path) -> tuple:
-    return parse_eisenstein_set_text(Path(path).read_text())
+    return parse_eisenstein_set_text(_set_file_text(path))

@@ -1,12 +1,12 @@
 """Solution-free sets for linear equations, and extremal searches.
 
-An EquationSpec is a conjunction of homogeneous linear relations over a
-commutative ring: plain integers, integers mod m, or Eisenstein points.
-A set S is free when no assignment of S-values to the variables
-satisfies every relation non-trivially, where "trivial" means all
-variables take one common value. One enumerator,
-`iter_nontrivial_solutions`, lists the solutions as value tuples in
-`spec.variables` order; every freeness check and search reads them.
+An EquationSpec is one homogeneous linear relation over a commutative
+ring (plain integers, integers mod m, or Eisenstein points), with one
+coefficient per position of a solution tuple. A set S is free when no
+tuple of S-values solves it non-trivially, where "trivial" means all
+positions take one common value. One enumerator,
+`iter_nontrivial_solutions`, lists the solutions as value tuples; every
+freeness check and search reads them.
 
 Searches: exact branch and bound for small domains, greedy plus
 simulated annealing beyond that. Freeness is hereditary (dropping
@@ -42,37 +42,24 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 22
 
 
 class EquationSpec:
-    """Conjunction of relations, each a tuple of (variable, coefficient)
-    terms summing to zero. Specs compare by identity."""
+    """One homogeneous linear relation: a tuple of values solves it when
+    the sum of coefficient * value, one coefficient per position, is
+    zero. Specs compare by identity."""
 
-    def __init__(
-        self,
-        name: str,
-        variables: tuple,
-        relations: tuple,
-        modulus: Optional[int] = None,
-    ):
-        if not variables:
-            raise ValueError("equation needs at least one variable")
-        if not relations:
-            raise ValueError("equation needs at least one relation")
-        known = set(variables)
-        for relation in relations:
-            for var, _coeff in relation:
-                if var not in known:
-                    raise ValueError(f"relation uses unknown variable {var!r}")
+    def __init__(self, name: str, coefficients: tuple, modulus: Optional[int] = None):
+        if not coefficients:
+            raise ValueError("equation needs at least one coefficient")
         self.name = name
-        self.variables = variables
-        self.relations = relations
+        self.coefficients = coefficients
         self.modulus = modulus
         self._plans: dict = {}  # built by iter_nontrivial_solutions
 
 
-def _is_zero(terms, values: tuple, modulus: Optional[int]) -> bool:
-    """Whether the (position, coefficient) terms sum to zero on `values`."""
+def _is_zero(spec: EquationSpec, values: tuple) -> bool:
+    """Whether `values` solve the relation."""
     zero = values[0] - values[0]
-    total = sum((coeff * values[pos] for pos, coeff in terms), zero)
-    return total % modulus == 0 if modulus is not None else total == zero
+    total = sum((c * v for c, v in zip(spec.coefficients, values)), zero)
+    return total % spec.modulus == 0 if spec.modulus is not None else total == zero
 
 
 def _solver(coeff, modulus: Optional[int], units: bool, divide: bool):
@@ -102,61 +89,45 @@ def _solver(coeff, modulus: Optional[int], units: bool, divide: bool):
 
 
 def _plan(spec: EquationSpec, pinned, units: bool, divide: bool) -> tuple:
-    """(solved, rest, factor, divisor, checked) for listing the
-    solutions in which position `pinned` (None: none) has a fixed value.
+    """(solved, rest, factor, divisor) for listing the solutions in
+    which position `pinned` (None: none) has a fixed value.
 
-    Relations are compiled to (position, coefficient) terms, positions
-    into `spec.variables`. `solved` is the position of the first term,
-    in a relation of two or more terms, that is not pinned, appears once
-    in its relation and has a coefficient `_solver` accepts (None if no
-    term does). The other positions are enumerated; the solved value is
-    computed from `rest`, the relation's other terms as (index into the
-    enumerated tuple, coefficient), and inserted at its position. The
-    `checked` relations are then tested on the completed tuple.
+    `solved` is the first position, of two or more, that is not pinned
+    and whose coefficient `_solver` accepts (None if none is). The other
+    positions are enumerated; the solved value is computed from `rest`,
+    their coefficients in order, and inserted at its position.
     """
-    relations = tuple(
-        tuple((spec.variables.index(var), c) for var, c in relation)
-        for relation in spec.relations
-    )
-    for ridx, terms in enumerate(relations):
-        places = [pos for pos, _coeff in terms]
-        for tidx, (pos, coeff) in enumerate(terms):
-            if len(places) < 2 or pos == pinned or places.count(pos) != 1:
-                continue
-            solve = _solver(coeff, spec.modulus, units, divide)
-            if solve is not None:
-                rest = tuple(
-                    (p - (p > pos), c)
-                    for i, (p, c) in enumerate(terms)
-                    if i != tidx
-                )
-                checked = relations[:ridx] + relations[ridx + 1 :]
-                return (pos, rest, *solve, checked)
-    return None, (), None, None, relations
+    coefficients = spec.coefficients
+    for pos, coeff in enumerate(coefficients):
+        if pos == pinned or len(coefficients) < 2:
+            continue
+        solve = _solver(coeff, spec.modulus, units, divide)
+        if solve is not None:
+            rest = coefficients[:pos] + coefficients[pos + 1 :]
+            return (pos, rest, *solve)
+    return None, (), None, None
 
 
 def iter_nontrivial_solutions(
     S: Iterable, spec: EquationSpec, through=None
 ) -> Iterator[tuple]:
     """Every non-trivial solution with values drawn from S, reduced mod
-    m when the spec has a modulus, as a tuple of values in
-    `spec.variables` order.
+    m when the spec has a modulus, as a tuple of values by position.
 
-    When some relation carries a +-1 coefficient, that variable is
-    solved from the others, saving one enumeration dimension; the
-    remaining relations are then checked on the completed tuple.
-    Otherwise every tuple is enumerated. A tuple whose values are all
-    equal is trivial and skipped.
+    When some coefficient is +-1, that position is solved from the
+    others, saving one enumeration dimension. Otherwise every tuple is
+    enumerated and the relation checked on it. A tuple whose values are
+    all equal is trivial and skipped.
 
     With `through=c`, only the solutions over S | {c} that use the value
-    c are listed, each once: under the first variable equal to c, which
-    is pinned to c while another term of a relation is solved by a unit
+    c are listed, each once: under the first position equal to c, which
+    is pinned to c while another position is solved by a unit
     coefficient or, over integer values, by exact division. When S is
     free, these are all the solutions over S | {c}. Such a check takes
     3|S| steps for kx - (k-1)y = z and 4|S|^2 for 3x + y = 2z + 2w.
     """
     modulus = spec.modulus
-    width = len(spec.variables)
+    width = len(spec.coefficients)
     values = set(S) if modulus is None else {v % modulus for v in S}
     pins: Iterable = (None,)
     key = None
@@ -174,14 +145,17 @@ def iter_nontrivial_solutions(
     members = set(values)
 
     for pinned in pins:
-        solved, rest_terms, factor, divisor, checked = plans[pinned]
+        solved, rest_coefficients, factor, divisor = plans[pinned]
         free = [pos for pos in range(width) if pos != solved]
         domains = [(through,) if pos == pinned else values for pos in free]
         for combo in itertools.product(*domains):
-            if solved is not None:
+            if solved is None:
+                if not _is_zero(spec, combo):
+                    continue
+            else:
                 rest = None
-                for i, coeff in rest_terms:
-                    term = coeff * combo[i]
+                for coeff, v in zip(rest_coefficients, combo):
+                    term = coeff * v
                     rest = term if rest is None else rest + term
                 if divisor is not None:
                     if rest % divisor:
@@ -198,18 +172,16 @@ def iter_nontrivial_solutions(
                 if value not in members:
                     continue
                 combo = combo[:solved] + (value,) + combo[solved:]
-            if checked and not all(_is_zero(r, combo, modulus) for r in checked):
-                continue
             if combo.count(combo[0]) == width:
-                continue  # trivial: every variable takes one value
+                continue  # trivial: every position takes one value
             if pinned and through in combo[:pinned]:
-                continue  # listed under an earlier variable
+                continue  # listed under an earlier position
             yield combo
 
 
 def has_solution(S: Iterable, spec: EquationSpec, through=None) -> Optional[tuple]:
     """First non-trivial solution with values drawn from S, as a tuple
-    in `spec.variables` order, or None.
+    of values by position, or None.
 
     With `through=c`, the first over S | {c} that uses c: when S is
     free, None means that S | {c} is free as well.
@@ -223,11 +195,7 @@ def is_free(S: Iterable, spec: EquationSpec) -> bool:
 
 def ruzsa_equation() -> EquationSpec:
     """3x + y = 2z + 2w over the integers."""
-    return EquationSpec(
-        name="3x+y=2z+2w",
-        variables=("x", "y", "z", "w"),
-        relations=((("x", 3), ("y", 1), ("z", -2), ("w", -2)),),
-    )
+    return EquationSpec("3x+y=2z+2w", (3, 1, -2, -2))
 
 
 def modular_equation(k: int) -> EquationSpec:
@@ -235,28 +203,19 @@ def modular_equation(k: int) -> EquationSpec:
     if k < 2:
         raise ValueError("k must be at least 2")
     n = k * k - k + 1
-    return EquationSpec(
-        name=f"{k}x-{k - 1}y=z (mod {n})",
-        variables=("x", "y", "z"),
-        relations=((("x", k), ("y", -(k - 1)), ("z", -1)),),
-        modulus=n,
-    )
+    return EquationSpec(f"{k}x-{k - 1}y=z (mod {n})", (k, -(k - 1), -1), n)
 
 
 def equilateral_equation() -> EquationSpec:
     """t - w = omega (w - v) over the Eisenstein lattice.
 
-    Any assignment of three not-all-equal values solving this has three
+    Any tuple (t, v, w) of not-all-equal values solving this has three
     distinct values forming an equilateral triangle, and every
     equilateral triple solves it under some labeling (the opposite
     orientation corresponds to swapping t and v), so set-freeness for
     this single relation is exactly equilateral-triangle-freeness.
     """
-    return EquationSpec(
-        name="t-w=omega(w-v)",
-        variables=("t", "v", "w"),
-        relations=((("t", ONE), ("v", OMEGA), ("w", -ROT60)),),
-    )
+    return EquationSpec("t-w=omega(w-v)", (ONE, OMEGA, -ROT60))
 
 
 class SearchResult(NamedTuple):

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the reader of cap
-and set files.
+and set files: `_set_file_text` decodes a file as UTF-8 and
+`_read_set_text` reads its lines.
 
 The CLI maps these onto exit codes by base class: the ValueErrors
 (SetFileError, the one parse error of cap and set files; domains beyond
@@ -11,6 +12,7 @@ missed.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable
 
 
@@ -32,6 +34,20 @@ class CapVerificationError(WicketlabError):
 
 class SetFileError(WicketlabError, ValueError):
     """A cap or set file could not be parsed at the line it names."""
+
+
+def _set_file_text(path) -> str:
+    """The text of a cap or set file, decoded strictly as UTF-8 in any
+    locale: an undecodable byte is a SetFileError naming the path and
+    the line, counted as `_read_set_text` counts them."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise SetFileError(
+            f"{path}: line {lineno}: not UTF-8: byte {data[exc.start]:#04x}"
+        ) from None
 
 
 def _read_set_text(text: str, parse: Callable) -> tuple:

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     DomainTooLargeError,
     _read_set_text,
+    _set_file_text,
 )
 
 Vec = tuple[int, ...]
@@ -223,7 +224,7 @@ def parse_cap_text(text: str) -> CapSet:
 
 
 def load_cap_file(path) -> CapSet:
-    return parse_cap_text(Path(path).read_text())
+    return parse_cap_text(_set_file_text(path))
 
 
 def write_cap_file(cap: CapSet, path) -> None:

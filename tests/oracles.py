@@ -6,10 +6,8 @@ code with the package. The exceptions are earlier versions of fast
 paths, kept as references for the order of their output; of these,
 `max_free_first_by_has_solution` and `max_free_heuristic_by_full_check`
 call the library's `has_solution`, which other tests check against raw
-scans. `wicket_directions` lists the wicket system's solutions, value
-tuples in (s, t, u, v, w) order, with the library's
-`iter_nontrivial_solutions`, checked the same way, and
-`binary_cap` verifies its cap with the library's `verify_cap`.
+scans, and `binary_cap` verifies its cap with the library's
+`verify_cap`.
 """
 
 import random
@@ -821,16 +819,12 @@ def max_free_heuristic_by_full_check(
 
 
 def constant_solves(spec, sample) -> bool:
-    """Whether setting every variable to `sample` solves each relation."""
-    for relation in spec.relations:
-        terms = [coeff * sample for _var, coeff in relation]
-        total = sum(terms[1:], terms[0])
-        if spec.modulus is not None:
-            if total % spec.modulus:
-                return False
-        elif total != total - total:
-            return False
-    return True
+    """Whether setting every position to `sample` solves the relation."""
+    terms = [coeff * sample for coeff in spec.coefficients]
+    total = sum(terms[1:], terms[0])
+    if spec.modulus is not None:
+        return total % spec.modulus == 0
+    return total == total - total
 
 
 def modular_solution_raw(S, k: int) -> bool:
@@ -844,9 +838,9 @@ def modular_solution_raw(S, k: int) -> bool:
     return False
 
 
-def wicket_system_spec(lam, modulus=None):
-    """The wicket system of a build with lam = nu / mu as a plain
-    equation over the directions (s, t, u, v, w):
+def wicket_system_holds(d, lam, modulus=None) -> bool:
+    """Whether the directions d = (s, t, u, v, w) of a build with
+    lam = nu / mu solve the wicket system
 
         R0   s - t + lam(u - w) = 0
         R1   lam^2 s + t - u - lam^2 v = 0
@@ -854,37 +848,34 @@ def wicket_system_spec(lam, modulus=None):
     lam is a root of x^2 - x + 1 in its ring, k mod k^2 - k + 1 or -w
     over the Eisenstein integers, so lam - 1 is written as lam^2.
     """
-    from wicketlab.eqfree import EquationSpec
-
+    s, t, u, v, w = d
     lam2 = lam * lam
-    if modulus is None:
-        name = "wicket directions over the Eisenstein lattice"
-    else:
-        name = f"wicket directions mod {modulus}"
-    return EquationSpec(
-        name=name,
-        variables=("s", "t", "u", "v", "w"),
-        relations=(
-            (("s", 1), ("t", -1), ("u", lam), ("w", -lam)),
-            (("s", lam2), ("t", 1), ("u", -1), ("v", -lam2)),
-        ),
-        modulus=modulus,
-    )
+    for total in (s - t + lam * (u - w), lam2 * s + t - u - lam2 * v):
+        if modulus is not None:
+            if total % modulus:
+                return False
+        elif total != total - total:
+            return False
+    return True
 
 
 def wicket_directions(S, lam, modulus=None):
-    """The first solution (s, t, u, v, w) of the wicket system over S
-    with s != t, s != w and t != u, or None: under R0 and R1 the other
-    solutions repeat an edge, so these are the direction sets of the
-    wickets (three bases permitting). Every all-equal assignment has
-    s = t."""
-    from wicketlab.eqfree import iter_nontrivial_solutions
-
-    spec = wicket_system_spec(lam, modulus)
-    for d in iter_nontrivial_solutions(S, spec):
-        s, t, u, _v, w = d
-        if s != t and s != w and t != u:
-            return d
+    """A solution (s, t, u, v, w) of the wicket system over S with
+    s != t, s != w and t != u, or None, by a scan of every tuple: under
+    R0 and R1 the other solutions repeat an edge, so these are the
+    direction sets of the wickets (three bases permitting). Every
+    all-equal tuple has s = t."""
+    values = sorted(set(S))
+    for s in values:
+        for t in values:
+            for u in values:
+                for w in values:
+                    if s == t or s == w or t == u:
+                        continue
+                    for v in values:
+                        d = (s, t, u, v, w)
+                        if wicket_system_holds(d, lam, modulus):
+                            return d
     return None
 
 

@@ -17,12 +17,14 @@ from wicketlab import census, cli
 from wicketlab.errors import ColoringBudgetError
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
+    """Run the CLI in a subprocess; `env` adds to the inherited one."""
     return subprocess.run(
         [sys.executable, "-m", "wicketlab.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=None if env is None else {**os.environ, **env},
         timeout=120,
     )
 
@@ -233,6 +235,22 @@ def test_cap_verify_missing_and_malformed(tmp_path):
     res = run_cli("cap", "verify", str(mal))
     assert res.returncode == 1
     assert "line 1" in res.stderr
+
+
+def test_cap_verify_reads_utf8_in_the_c_locale(tmp_path):
+    # Files are UTF-8 whatever the locale: a non-ASCII comment is skipped
+    # like any other, not an ASCII decoding error.
+    cap = tmp_path / "cap.txt"
+    cap.write_bytes("01\n# café\n10\n".encode("utf-8"))
+    c_locale = {
+        "LC_ALL": "C",
+        "LANG": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+    }
+    res = run_cli("cap", "verify", str(cap), env=c_locale)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert "ap3-free: true" in res.stdout
 
 
 def test_cap_max_json():
@@ -998,13 +1016,15 @@ def test_main_lets_an_interrupt_through(monkeypatch):
 )
 def test_set_file_errors_exit_one(tmp_path, argv, repeated, undecodable):
     bad = tmp_path / "s.txt"
-    bad.write_bytes(b"\xff" if undecodable else repeated)
+    first = repeated.split(b"\n")[0]
+    bad.write_bytes(first + b"\n\xff\n" if undecodable else repeated)
     res = run_cli(*argv, str(bad))
     assert res.returncode == 1
     errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "Traceback" not in res.stderr
-    if not undecodable:
-        assert "line 2" in res.stderr
+    assert "line 2" in res.stderr
+    if undecodable:
+        assert errors == [f"error: {bad}: line 2: not UTF-8: byte 0xff"]
 
 
 def test_modular_set_out_of_range(tmp_path):

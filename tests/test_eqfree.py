@@ -43,7 +43,6 @@ from oracles import (
     ruzsa_bad_masks,
     ruzsa_max_fullenum,
     ruzsa_solution_raw,
-    wicket_system_spec,
 )
 
 RUZSA_OPTIMA = [1, 2, 2, 2, 2, 3, 4, 4, 4, 4, 4, 4]  # n = 1..12
@@ -51,11 +50,7 @@ RUZSA_OPTIMA = [1, 2, 2, 2, 2, 3, 4, 4, 4, 4, 4, 4]  # n = 1..12
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        EquationSpec(name="empty", variables=(), relations=(((("x", 1),)),))
-    with pytest.raises(ValueError):
-        EquationSpec(name="unknown", variables=("x",), relations=((("y", 1),),))
-    with pytest.raises(ValueError):
-        EquationSpec(name="norel", variables=("x",), relations=())
+        EquationSpec(name="empty", coefficients=())
 
 
 def test_ruzsa_constant_satisfies():
@@ -117,36 +112,32 @@ def test_iter_nontrivial_solutions_complete():
 
 
 def test_iter_nontrivial_solutions_matches_full_product():
-    # The enumerator solves one +-1 variable from the others; compare
-    # with a plain scan of every assignment. With through=c it pins each
-    # variable to c in turn and solves another term (by a unit, or by
-    # exact division over int values); compare with the scanned
-    # solutions that use c. The GF(3) cases have int coefficients over
-    # F3Elem values, where dividing by 3 or 2 would be wrong.
+    # The enumerator solves one +-1 position from the others; compare
+    # with a plain scan of every tuple. With through=c it pins each
+    # position to c in turn and solves another (by a unit, or by exact
+    # division over int values); compare with the scanned solutions
+    # that use c. 2x + 2y = 4z has no +-1 coefficient, so its full
+    # listing checks every tuple. The GF(3) cases have int coefficients
+    # over F3Elem values, where dividing by 3 or 2 would be wrong.
     f3_plane = [F3Elem(v) for v in all_vectors(2)]
     cases = [
         (ruzsa_equation(), range(-2, 5)),
         (modular_equation(3), range(7)),
         (equilateral_equation(), region_points(1)),
-        (wicket_system_spec(2, 3), range(3)),
-        (wicket_system_spec(3, 7), (0, 1, 2, 4, 5)),
-        (wicket_system_spec(-OMEGA), region_points(1)),
+        (EquationSpec("2x+2y=4z", (2, 2, -4)), range(-3, 4)),
         (_reduced_gf3_equation(), f3_plane),
         (ruzsa_equation(), f3_plane),
     ]
     for spec, domain in cases:
         values = sorted(set(domain))
         expected = set()
-        for combo in itertools.product(values, repeat=len(spec.variables)):
-            assignment = dict(zip(spec.variables, combo))
-            solves = True
-            for relation in spec.relations:
-                terms = [coeff * assignment[var] for var, coeff in relation]
-                total = functools.reduce(operator.add, terms)
-                if spec.modulus is not None:
-                    solves = solves and total % spec.modulus == 0
-                else:
-                    solves = solves and total == total - total
+        for combo in itertools.product(values, repeat=len(spec.coefficients)):
+            terms = [coeff * v for coeff, v in zip(spec.coefficients, combo)]
+            total = functools.reduce(operator.add, terms)
+            if spec.modulus is not None:
+                solves = total % spec.modulus == 0
+            else:
+                solves = total == total - total
             if solves and len(set(combo)) > 1:
                 expected.add(combo)
         found = list(iter_nontrivial_solutions(values, spec))
@@ -209,11 +200,7 @@ def test_forbidden_sets_are_the_minimal_solution_sets():
 
 
 def _reduced_gf3_equation():
-    return EquationSpec(
-        name="y+z+w=0 over GF(3)^n",
-        variables=("y", "z", "w"),
-        relations=((("y", 1), ("z", 1), ("w", 1)),),
-    )
+    return EquationSpec("y+z+w=0 over GF(3)^n", (1, 1, 1))
 
 
 def test_exhaustive_matches_has_solution_search_in_order():
@@ -228,8 +215,10 @@ def test_exhaustive_matches_has_solution_search_in_order():
     ]
     cases += [
         (_reduced_gf3_equation(), [F3Elem(v) for v in all_vectors(2)]),
-        (wicket_system_spec(2, 3), range(3)),
-        (wicket_system_spec(3, 7), range(7)),
+        # R0 of the wicket system, s - t + k(u - w) = 0 mod k^2 - k + 1
+        (EquationSpec("s-t+2u-2w (mod 3)", (1, -1, 2, -2), 3), range(3)),
+        (EquationSpec("s-t+3u-3w (mod 7)", (1, -1, 3, -3), 7), range(7)),
+        (EquationSpec("2x+2y=4z", (2, 2, -4)), range(-3, 4)),
     ]
     rng = random.Random(61)
     for spec, domain in list(cases):

@@ -217,8 +217,8 @@ def test_record_semantics():
     build, again = build_f3(binary_cap(2)), build_f3(binary_cap(2))
     assert build == build and build != again
     assert hash(build) != hash(again)
-    spec = EquationSpec("x=y", ("x", "y"), ((("x", 1), ("y", -1)),))
-    assert spec != EquationSpec("x=y", spec.variables, spec.relations)
+    spec = EquationSpec("x=y", (1, -1))
+    assert spec != EquationSpec("x=y", spec.coefficients)
     first, second = (color_edges(build, seed=0) for _ in range(2))
     assert first == first and first != second
     assert first.coloring == second.coloring  # a value record
