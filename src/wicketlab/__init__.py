@@ -38,7 +38,6 @@ _MODULES = {
     "build_wickets": "construction",
     "colors_needed": "construction",
     "load_int_set_file": "construction",
-    "parse_int_set_text": "construction",
     "plane_wicket_counts": "construction",
     "wicket_dependency_degree": "construction",
     "wicket_families": "construction",
@@ -46,7 +45,6 @@ _MODULES = {
     "OMEGA": "eisenstein",
     "coordinate_norm": "eisenstein",
     "load_eisenstein_set_file": "eisenstein",
-    "parse_eisenstein_set_text": "eisenstein",
     "region_points": "eisenstein",
     "region_scan_size": "eisenstein",
     "ring_norm": "eisenstein",
@@ -83,7 +81,6 @@ _MODULES = {
     "lift_cap": "gf3",
     "load_cap_file": "gf3",
     "max_cap_exact": "gf3",
-    "parse_cap_text": "gf3",
     "product_cap": "gf3",
     "string_to_vec": "gf3",
     "vec_to_string": "gf3",

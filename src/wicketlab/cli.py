@@ -1,16 +1,16 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage errors, any OSError or ValueError (a
-cap or set file that is not UTF-8 or that `errors._read_set_text`
-refuses, which raises SetFileError; a path that cannot be read or
-written; a domain beyond its size guard) and a stdout closed before all
-output was written, 2 verification failures and any other package error
-(a progression found in a claimed cap, a census counterexample, a color
-class still holding a wicket the lister missed), 3 exhausted resample
-budgets, 130 an interrupt (Ctrl-C). The output files of `build`, `color`
-and `census` are opened before any work starts. All outputs are
-deterministic for fixed inputs and seeds; JSON objects are printed with
-sorted keys.
+cap or set file that `errors._read_set_file` refuses, a SetFileError
+naming the file and the line; a path that cannot be read or written; a
+domain beyond its size guard) and a stdout closed before all output was
+written, 2 verification failures and any other package error (a
+progression found in a claimed cap, named with its file; a census
+counterexample; a color class still holding a wicket the lister
+missed), 3 exhausted resample budgets, 130 an interrupt (Ctrl-C). The
+output files of `build`, `color` and `census` are opened before any
+work starts. All outputs are deterministic for fixed inputs and seeds;
+JSON objects are printed with sorted keys.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ import operator
 from itertools import accumulate, product
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import _ascii_int, _read_set_text, _set_file_text
+from .errors import _ascii_int, _read_set_file
 # find_wickets is not called here, but perfbench/tracing.py wraps it here
 from .hypergraph import TripartiteHypergraph, find_wickets
 
@@ -139,8 +139,9 @@ def build_modular(elements: Iterable[int], k: int) -> Build:
     return _build(elems, residues, residues, 1, k, add=lambda a, b: (a + b) % n)
 
 
-def parse_int_set_text(text: str, modulus: int) -> tuple:
-    """One ASCII decimal residue per line, read by `_read_set_text`."""
+def load_int_set_file(path, modulus: int) -> tuple:
+    """One ASCII decimal residue in 0..modulus-1 per line, read by
+    `_read_set_file`."""
 
     def parse(line: str) -> int:
         try:
@@ -151,11 +152,7 @@ def parse_int_set_text(text: str, modulus: int) -> tuple:
             raise ValueError(f"{value} outside residue range 0..{modulus - 1}")
         return value
 
-    return _read_set_text(text, parse)
-
-
-def load_int_set_file(path, modulus: int) -> tuple:
-    return parse_int_set_text(_set_file_text(path), modulus)
+    return _read_set_file(path, parse)
 
 
 def build_eisenstein(

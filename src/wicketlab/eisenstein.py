@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .errors import _ascii_int, _read_set_text, _set_file_text
+from .errors import _ascii_int, _read_set_file
 
 
 class EisensteinPoint(NamedTuple):
@@ -113,10 +113,6 @@ def _parse_point(line: str) -> EisensteinPoint:
         raise ValueError(f"non-integer pair {line!r}") from None
 
 
-def parse_eisenstein_set_text(text: str) -> tuple:
-    """One ASCII decimal "a,b" per line, read by `_read_set_text`."""
-    return _read_set_text(text, _parse_point)
-
-
 def load_eisenstein_set_file(path) -> tuple:
-    return parse_eisenstein_set_text(_set_file_text(path))
+    """One ASCII decimal "a,b" per line, read by `_read_set_file`."""
+    return _read_set_file(path, _parse_point)

@@ -1,6 +1,5 @@
-"""Exception types shared across the package, and the reader of cap
-and set files: `_set_file_text` decodes a file as UTF-8 and
-`_read_set_text` reads its lines.
+"""Exception types shared across the package, and `_read_set_file`,
+the one reader of cap and set files.
 
 The CLI maps these onto exit codes by base class: the ValueErrors
 (SetFileError, the one parse error of cap and set files; domains beyond
@@ -25,36 +24,34 @@ class DimensionMismatchError(WicketlabError, ValueError):
 
 
 class CapVerificationError(WicketlabError):
-    """A set claimed to be progression-free contains a zero-sum triple."""
+    """A set claimed to be progression-free contains a zero-sum triple;
+    the message names the file the set was read from, if any."""
 
-    def __init__(self, witness):
+    def __init__(self, witness, path=None):
         self.witness = witness
-        super().__init__(f"set contains a progression: {witness}")
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}set contains a progression: {witness}")
 
 
 class SetFileError(WicketlabError, ValueError):
-    """A cap or set file could not be parsed at the line it names."""
+    """A cap or set file could not be read at the line it names."""
 
 
-def _set_file_text(path) -> str:
-    """The text of a cap or set file, decoded strictly as UTF-8 in any
-    locale: an undecodable byte is a SetFileError naming the path and
-    the line, counted as `_read_set_text` counts them."""
+def _read_set_file(path, parse: Callable) -> tuple:
+    """The sorted values of the cap or set file at `path`, by the rules
+    all three formats share: the bytes are decoded strictly as UTF-8 in
+    any locale, lines are stripped, blank and '#' lines skipped, and
+    `parse` maps each other line to a value or raises ValueError. That,
+    an undecodable byte or a value already read is a SetFileError that
+    reads '<path>: line N: ...'."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         raise SetFileError(
             f"{path}: line {lineno}: not UTF-8: byte {data[exc.start]:#04x}"
         ) from None
-
-
-def _read_set_text(text: str, parse: Callable) -> tuple:
-    """The sorted values of a cap or set file, by the rules all three
-    formats share: lines are stripped, blank and '#' lines skipped, and
-    `parse` maps each other line to a value or raises ValueError. That,
-    or a value already read, is a SetFileError naming the line."""
     seen: dict = {}  # value -> the line it was read from
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -62,12 +59,10 @@ def _read_set_text(text: str, parse: Callable) -> tuple:
             continue
         try:
             value = parse(line)
+            if value in seen:
+                raise ValueError(f"duplicate of line {seen[value]}: {line!r}")
         except ValueError as exc:
-            raise SetFileError(f"line {lineno}: {exc}") from None
-        if value in seen:
-            raise SetFileError(
-                f"line {lineno}: duplicate of line {seen[value]}: {line!r}"
-            )
+            raise SetFileError(f"{path}: line {lineno}: {exc}") from None
         seen[value] = lineno
     return tuple(sorted(seen))
 

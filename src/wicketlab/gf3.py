@@ -19,8 +19,7 @@ from .errors import (
     CapVerificationError,
     DimensionMismatchError,
     DomainTooLargeError,
-    _read_set_text,
-    _set_file_text,
+    _read_set_file,
 )
 
 Vec = tuple[int, ...]
@@ -199,12 +198,13 @@ def max_cap_exact(dimension: int) -> CapSet:
     )
 
 
-def parse_cap_text(text: str) -> CapSet:
-    """Parse the base-3 line format and verify progression-freeness.
+def load_cap_file(path) -> CapSet:
+    """Read a cap file and verify progression-freeness.
 
     One element per line, most significant digit first, read by
-    `_read_set_text`. The first element fixes the dimension. An empty
-    file is the empty cap in dimension 0.
+    `_read_set_file`. The first element fixes the dimension. An empty
+    file is the empty cap in dimension 0. A progression is a
+    CapVerificationError naming the file.
     """
     dimension: Optional[int] = None
 
@@ -217,14 +217,11 @@ def parse_cap_text(text: str) -> CapSet:
             raise ValueError(f"expected {dimension} digits, got {len(vec)}")
         return vec
 
-    elements = _read_set_text(text, parse)
-    if dimension is None:
-        return CapSet(0, frozenset(), True)
-    return verify_cap(dimension, elements)
-
-
-def load_cap_file(path) -> CapSet:
-    return parse_cap_text(_set_file_text(path))
+    elements = _read_set_file(path, parse)
+    try:
+        return verify_cap(dimension or 0, elements)
+    except CapVerificationError as exc:
+        raise CapVerificationError(exc.witness, path) from None
 
 
 def write_cap_file(cap: CapSet, path) -> None:

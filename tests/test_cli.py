@@ -1011,20 +1011,41 @@ def test_main_lets_an_interrupt_through(monkeypatch):
         (["cap", "verify"], b"01\n01\n"),
         (["build", "modular", "--k", "3", "--set"], b"1\n1\n"),
         (["build", "eisenstein", "--bound", "2", "--set"], b"0,1\n0,1\n"),
+        (["cap", "product", "--left", "{ok}", "--right"], b"01\n01\n"),
     ],
-    ids=["cap", "modular", "eisenstein"],
+    ids=["cap", "modular", "eisenstein", "product"],
 )
-def test_set_file_errors_exit_one(tmp_path, argv, repeated, undecodable):
+def test_set_file_errors_exit_one(tmp_path, cap2, argv, repeated, undecodable):
     bad = tmp_path / "s.txt"
     first = repeated.split(b"\n")[0]
     bad.write_bytes(first + b"\n\xff\n" if undecodable else repeated)
-    res = run_cli(*argv, str(bad))
+    res = run_cli(*(arg.format(ok=cap2) for arg in argv), str(bad))
     assert res.returncode == 1
     errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and "Traceback" not in res.stderr
-    assert "line 2" in res.stderr
+    assert "Traceback" not in res.stderr
     if undecodable:
-        assert errors == [f"error: {bad}: line 2: not UTF-8: byte 0xff"]
+        problem = "not UTF-8: byte 0xff"
+    else:
+        problem = f"duplicate of line 1: {first.decode()!r}"
+    assert errors == [f"error: {bad}: line 2: {problem}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "f3", "--cap", "{bad}"],
+        ["cap", "lift", "--cap", "{bad}", "--dimension", "2"],
+        ["cap", "product", "--left", "{ok}", "--right", "{bad}"],
+    ],
+    ids=["build-f3", "cap-lift", "cap-product"],
+)
+def test_non_cap_is_refused_with_its_file(tmp_path, cap2, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0\n1\n2\n")
+    res = run_cli(*(arg.format(bad=bad, ok=cap2) for arg in argv))
+    assert (res.returncode, res.stdout) == (2, "")
+    progression = "set contains a progression: ((0,), (1,), (2,))"
+    assert res.stderr == f"error: {bad}: {progression}\n"
 
 
 def test_modular_set_out_of_range(tmp_path):

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from wicketlab.construction import parse_int_set_text
+from wicketlab.construction import load_int_set_file
 
 from wicketlab.eisenstein import (
     OMEGA,
     EisensteinPoint,
-    parse_eisenstein_set_text,
+    load_eisenstein_set_file,
     region_points,
 )
 from wicketlab.eqfree import (
@@ -31,7 +31,7 @@ from wicketlab.eqfree import (
     ruzsa_equation,
 )
 from wicketlab.errors import DomainTooLargeError, SetFileError
-from wicketlab.gf3 import all_vectors, find_ap3, parse_cap_text
+from wicketlab.gf3 import all_vectors, find_ap3, load_cap_file
 from oracles import (
     F3Elem,
     constant_solves,
@@ -360,56 +360,74 @@ def test_max_triangle_free_heuristic_path():
         max_triangle_free(8, norm="coordinate")
 
 
-def test_parse_int_set_text():
-    assert parse_int_set_text("3\n1\n# c\n\n2\n", 7) == (1, 2, 3)
-    assert parse_int_set_text("5\n1\n", modulus=7) == (1, 5)
+def _set_file(tmp_path, text):
+    path = tmp_path / "set.txt"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_parse_int_set_text(tmp_path):
+    def load(text, modulus=7):
+        return load_int_set_file(_set_file(tmp_path, text), modulus)
+
+    path = tmp_path / "set.txt"
+    assert load("3\n1\n# c\n\n2\n") == (1, 2, 3)
+    assert load("5\n1\n") == (1, 5)
     with pytest.raises(SetFileError) as info:
-        parse_int_set_text("1\nx\n", 7)
-    assert "line 2" in str(info.value)
+        load("1\nx\n")
+    assert str(info.value) == f"{path}: line 2: not an integer: 'x'"
     # int() would read these as 1, 10 and 3
     for bad in ("0_1", "1_0", "\u0663"):
         with pytest.raises(SetFileError) as info:
-            parse_int_set_text(f"2\n{bad}\n", 7)
-        assert str(info.value) == f"line 2: not an integer: {bad!r}"
+            load(f"2\n{bad}\n")
+        assert str(info.value) == f"{path}: line 2: not an integer: {bad!r}"
     with pytest.raises(SetFileError) as info:
-        parse_int_set_text("1\n1\n", 7)
-    assert "line 2" in str(info.value)
+        load("1\n1\n")
+    assert str(info.value) == f"{path}: line 2: duplicate of line 1: '1'"
     with pytest.raises(SetFileError) as info:
-        parse_int_set_text("9\n", modulus=7)
-    assert "line 1" in str(info.value)
+        load("9\n")
+    assert str(info.value) == f"{path}: line 1: 9 outside residue range 0..6"
 
 
-def test_parse_eisenstein_set_text():
-    pts = parse_eisenstein_set_text("0,1\n-1, 2\n")
+def test_parse_eisenstein_set_text(tmp_path):
+    def load(text):
+        return load_eisenstein_set_file(_set_file(tmp_path, text))
+
+    path = tmp_path / "set.txt"
+    pts = load("0,1\n-1, 2\n")
     assert pts == (EisensteinPoint(-1, 2), EisensteinPoint(0, 1))
     with pytest.raises(SetFileError) as info:
-        parse_eisenstein_set_text("0,1\n3\n")
-    assert "line 2" in str(info.value)
-    with pytest.raises(SetFileError):
-        parse_eisenstein_set_text("0,1\n0,1\n")
+        load("0,1\n3\n")
+    assert str(info.value) == f"{path}: line 2: expected 'a,b', got '3'"
+    with pytest.raises(SetFileError) as info:
+        load("0,1\n0,1\n")
+    assert str(info.value) == f"{path}: line 2: duplicate of line 1: '0,1'"
     # int() would read these as 1, 10 and 3
     for bad in ("0_1,2", "1_0,2", "\u0663,0"):
         with pytest.raises(SetFileError) as info:
-            parse_eisenstein_set_text(f"0,1\n{bad}\n")
-        assert str(info.value) == f"line 2: non-integer pair {bad!r}"
+            load(f"0,1\n{bad}\n")
+        assert str(info.value) == f"{path}: line 2: non-integer pair {bad!r}"
 
 
-# The line rules the three file formats share: each parser with two
+# The line rules the three file formats share: each loader with two
 # entries and the first entry written again in another way.
-SET_FILE_PARSERS = [
-    (lambda text: parse_cap_text(text).sorted_elements, "01", "10", " 01\t"),
-    (functools.partial(parse_int_set_text, modulus=7), "1", "3", "01"),
-    (parse_eisenstein_set_text, "0,1", "-1,2", " 0 , 1"),
+SET_FILE_LOADERS = [
+    (lambda path: load_cap_file(path).sorted_elements, "01", "10", " 01\t"),
+    (functools.partial(load_int_set_file, modulus=7), "1", "3", "01"),
+    (load_eisenstein_set_file, "0,1", "-1,2", " 0 , 1"),
 ]
 
 
 @pytest.mark.parametrize(
-    "parse, first, second, again", SET_FILE_PARSERS, ids=["cap", "residue", "point"]
+    "load, first, second, again", SET_FILE_LOADERS, ids=["cap", "residue", "point"]
 )
-def test_set_files_share_line_rules(parse, first, second, again):
-    padded = f"# header\n\n  {second}  \n\t\n   # note\n\t{first}\n"
-    values = parse(padded)
-    assert len(values) == 2 and values == parse(f"{first}\n{second}\n")
+def test_set_files_share_line_rules(tmp_path, load, first, second, again):
+    def read(text):
+        return load(_set_file(tmp_path, text))
+
+    path = tmp_path / "set.txt"
+    values = read(f"# header\n\n  {second}  \n\t\n   # note\n\t{first}\n")
+    assert len(values) == 2 and values == read(f"{first}\n{second}\n")
     with pytest.raises(SetFileError) as info:
-        parse(f"{first}\n# c\n\n{second}\n{again}\n")
-    assert str(info.value) == f"line 5: duplicate of line 1: {again.strip()!r}"
+        read(f"{first}\n# c\n\n{second}\n{again}\n")
+    assert str(info.value) == f"{path}: line 5: duplicate of line 1: {again.strip()!r}"

@@ -18,8 +18,8 @@ from wicketlab.gf3 import (
     f3_scale,
     find_ap3,
     lift_cap,
+    load_cap_file,
     max_cap_exact,
-    parse_cap_text,
     product_cap,
     string_to_vec,
     vec_to_string,
@@ -160,37 +160,49 @@ def test_max_cap_exact_dimension_guard():
         max_cap_exact(-1)
 
 
-def test_parse_cap_text_comments_and_blanks():
-    cap = parse_cap_text("# header\n\n00\n01\n # more\n10\n11\n")
+def _cap_file(tmp_path, text):
+    path = tmp_path / "cap.txt"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_parse_cap_text_comments_and_blanks(tmp_path):
+    cap = load_cap_file(_cap_file(tmp_path, "# header\n\n00\n01\n # more\n10\n11\n"))
     assert len(cap) == 4 and cap.dimension == 2 and cap.verified
 
 
-def test_parse_cap_text_empty_file():
-    cap = parse_cap_text("")
+def test_parse_cap_text_empty_file(tmp_path):
+    cap = load_cap_file(_cap_file(tmp_path, ""))
     assert cap.dimension == 0 and len(cap) == 0 and cap.verified
 
 
-def test_parse_cap_text_bad_digit_line_number():
+def test_parse_cap_text_bad_digit_line_number(tmp_path):
+    path = _cap_file(tmp_path, "00\n0x\n")
     with pytest.raises(SetFileError) as info:
-        parse_cap_text("00\n0x\n")
-    assert "line 2" in str(info.value)
+        load_cap_file(path)
+    assert str(info.value) == f"{path}: line 2: invalid base-3 digits: '0x'"
 
 
-def test_parse_cap_text_length_mismatch():
+def test_parse_cap_text_length_mismatch(tmp_path):
+    path = _cap_file(tmp_path, "00\n011\n")
     with pytest.raises(SetFileError) as info:
-        parse_cap_text("00\n011\n")
-    assert "line 2" in str(info.value)
+        load_cap_file(path)
+    assert str(info.value) == f"{path}: line 2: expected 2 digits, got 3"
 
 
-def test_parse_cap_text_duplicate():
+def test_parse_cap_text_duplicate(tmp_path):
+    path = _cap_file(tmp_path, "00\n01\n00\n")
     with pytest.raises(SetFileError) as info:
-        parse_cap_text("00\n01\n00\n")
-    assert "line 3" in str(info.value)
+        load_cap_file(path)
+    assert str(info.value) == f"{path}: line 3: duplicate of line 1: '00'"
 
 
-def test_parse_cap_text_verifies():
-    with pytest.raises(CapVerificationError):
-        parse_cap_text("0\n1\n2\n")
+def test_parse_cap_text_verifies(tmp_path):
+    path = _cap_file(tmp_path, "0\n1\n2\n")
+    with pytest.raises(CapVerificationError) as info:
+        load_cap_file(path)
+    assert info.value.witness == ((0,), (1,), (2,))
+    assert str(info.value) == f"{path}: set contains a progression: ((0,), (1,), (2,))"
 
 
 def test_write_cap_file_roundtrip(tmp_path):
@@ -200,7 +212,6 @@ def test_write_cap_file_roundtrip(tmp_path):
     first = path.read_bytes()
     write_cap_file(cap, path)
     assert path.read_bytes() == first
-    text = first.decode()
-    assert text.endswith("\n")
-    again = parse_cap_text(text)
+    assert first.decode().endswith("\n")
+    again = load_cap_file(path)
     assert again.elements == cap.elements
