@@ -15,9 +15,9 @@ one, so the wicket test is a lookup in the set of the 216 wicket masks.
 The walk's tables come from the hypergraph module's detectors, run once
 at import on the whole grid: its incidence gives the edges that may
 join an edge, `find_63` the (6,3) closers and `find_wickets` the wicket
-masks. `use_detectors` runs the same detectors on each system instead.
-The share-table classifier in `tests/oracles.py` states the rules on
-its own, and the tests check both routes against it on every system.
+masks. No detector runs per system. The share-table classifier in
+`tests/oracles.py` states the rules on its own, and the tests check the
+walk and the detectors against it on every system.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ SIX_THREE_CLOSERS = tuple(tuple(row) for row in _closers)
 WICKET_MASKS = frozenset(sum(1 << f for f in w) for w in find_wickets(_GRID))
 
 
-def _classified(use_detectors: bool) -> Iterator[tuple]:
+def iter_classified() -> Iterator[tuple]:
     """(ids, has_wicket, has_63, covers_grid) for every linear 5-edge
     system, ids ascending and systems in lexicographic order.
 
@@ -95,22 +95,10 @@ def _classified(use_detectors: bool) -> Iterator[tuple]:
                     union4 = union3 | vmask[e4]
                     edges4 = 1 << e1 | 1 << e2 | 1 << e3 | 1 << e4
                     for e5 in set_bits(cand5):
-                        ids = (e1, e2, e3, e4, e5)
+                        has_w = (edges4 | 1 << e5) in wickets
+                        has_63 = bool(has63_4 | closes4 >> e5 & 1)
                         covers = (union4 | vmask[e5]) == ALL_VERTICES
-                        if use_detectors:
-                            has_w, has_63 = detector_classify(ids)
-                        else:
-                            has_w = (edges4 | 1 << e5) in wickets
-                            has_63 = bool(has63_4 | closes4 >> e5 & 1)
-                        yield ids, has_w, has_63, covers
-
-
-def detector_classify(ids) -> tuple:
-    h = grid_system(ids)
-    return (
-        bool(find_wickets(h, limit=1)),
-        bool(find_63(h, limit=1)),
-    )
+                        yield (e1, e2, e3, e4, e5), has_w, has_63, covers
 
 
 class CensusReport(NamedTuple):
@@ -127,16 +115,14 @@ class CensusReport(NamedTuple):
         return not self.counterexamples
 
 
-def run_census(
-    use_detectors: bool = False, csv: Optional[TextIO] = None
-) -> CensusReport:
+def run_census(csv: Optional[TextIO] = None) -> CensusReport:
     """Classify every linear 5-edge system in one pass. With `csv`, the
     header and one row per system are written to it during that pass."""
     linear = wicket = six = both = cover = 0
     counterexamples: list = []
     if csv is not None:
         csv.write("e1,e2,e3,e4,e5,wicket,six_three\n")
-    for ids, has_w, has_63, covers in _classified(use_detectors):
+    for ids, has_w, has_63, covers in iter_classified():
         linear += 1
         if has_w:
             wicket += 1
@@ -160,12 +146,6 @@ def run_census(
         full_coverage=cover,
         counterexamples=tuple(counterexamples),
     )
-
-
-def iter_classified(use_detectors: bool = False) -> Iterator[tuple]:
-    """(ids, has_wicket, has_63) for every linear system, in order."""
-    for ids, has_w, has_63, _covers in _classified(use_detectors):
-        yield ids, has_w, has_63
 
 
 def minimal_free_example() -> Optional[tuple]:

@@ -313,7 +313,7 @@ def cmd_census(args) -> int:
     _bind("census")
     with ExitStack() as stack:
         (csv,) = _open_outputs(stack, args, "csv")
-        report = run_census(use_detectors=args.detectors, csv=csv)
+        report = run_census(csv=csv)
         payload = {**report._asdict(), "verified": report.verified}
         if args.minimality:
             witness = minimal_free_example()
@@ -444,7 +444,7 @@ def _fill_census(census) -> None:
     census.add_argument(
         "--detectors",
         action="store_true",
-        help="classify with the generic detectors instead of bitmask tables",
+        help="accepted for compatibility; the census always reads its tables",
     )
     census.add_argument("--csv", help="write per-system classifications here")
     census.add_argument(

@@ -117,12 +117,13 @@ def find_wickets(
     columns j are that two-hop neighbourhood minus touch[i], and rows
     p, q are disjoint when bit q of touch[p] is clear.
 
-    The list is ordered by (i, j), then by row triple. On a build's
-    hypergraph, `build_wickets` returns the same list, and the tests pin
-    the two as equal. No 5-set is reached twice: its only disjoint pairs
-    are the columns and the three row pairs, and a row pair taken as
-    columns would leave both old columns among the rows, which meet the
-    third row.
+    The list is ordered by (i, j), then by row triple; with `limit` the
+    scan stops after that many (the coloring's re-check passes 1). On a
+    build's hypergraph, `build_wickets` returns the same list, and the
+    tests pin the two as equal. No 5-set is reached twice: its only
+    disjoint pairs are the columns and the three row pairs, and a row
+    pair taken as columns would leave both old columns among the rows,
+    which meet the third row.
     """
     if limit is not None and limit <= 0:
         return []
@@ -169,9 +170,7 @@ def find_wickets(
     return found
 
 
-def find_63(
-    h: TripartiteHypergraph, limit: Optional[int] = None
-) -> list:
+def find_63(h: TripartiteHypergraph) -> list:
     """All (6,3) triangles: edges pairwise sharing exactly one vertex,
     with the three shared vertices distinct.
 
@@ -183,8 +182,6 @@ def find_63(
     same vertex would meet them in x. Pairs that overlap in two or more
     vertices are never in rows, so the input does not have to be linear.
     """
-    if limit is not None and limit <= 0:
-        return []
     incidence = h.incidence
     rows = incidence.rows
     through = incidence.through
@@ -212,8 +209,6 @@ def find_63(
                 ks >>= step
                 k += step
                 found.append((i, j, k))
-                if limit is not None and len(found) >= limit:
-                    return found
     return found
 
 

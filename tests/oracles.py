@@ -387,21 +387,17 @@ def six_threes_bruteforce(h: TripartiteHypergraph):
     return out
 
 
-def six_threes_in_order(h: TripartiteHypergraph, limit=None):
+def six_threes_in_order(h: TripartiteHypergraph):
     """Every (6,3) as its edge-id triple, in the library's list order:
     the 3-subsets of edge ids in lexicographic order that pass
-    is_63_triple. The reference for find_63's order and its `limit`
-    prefixes, while six_threes_bruteforce is the reference for the set.
+    is_63_triple. The reference for find_63's order, while
+    six_threes_bruteforce is the reference for the set.
     """
-    if limit is not None and limit <= 0:
-        return []
-    found = []
-    for ids in combinations(range(h.edge_count), 3):
-        if is_63_triple(h, ids):
-            found.append(ids)
-            if limit is not None and len(found) >= limit:
-                return found
-    return found
+    return [
+        ids
+        for ids in combinations(range(h.edge_count), 3)
+        if is_63_triple(h, ids)
+    ]
 
 
 def random_linear_hypergraph(rng, sizes=(4, 4, 4), edges=10, tries=400):

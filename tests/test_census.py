@@ -45,7 +45,7 @@ def test_grid_edges_table():
 
 
 def test_known_wicket_ids():
-    assert (WICKET_IDS, True, False) in iter_classified(False)
+    assert (WICKET_IDS, True, False, True) in iter_classified()
     assert not share_table_has_63(WICKET_IDS)
     h = grid_system(WICKET_IDS)
     assert len(find_wickets(h)) == 1
@@ -71,15 +71,9 @@ def test_run_census_matches_frozen_counts():
     assert rep.wicket + rep.six_three - rep.both + neither == rep.linear
 
 
-def test_detector_route_agrees():
-    rep = run_census(use_detectors=True)
-    for key, value in FROZEN.items():
-        assert getattr(rep, key) == value, key
-
-
 def test_linear_five_sets_complete():
     seen = set()
-    for ids, _, _ in iter_classified(False):
+    for ids, *_ in iter_classified():
         assert ids not in seen
         seen.add(ids)
         assert is_linear(grid_system(ids))
@@ -87,19 +81,30 @@ def test_linear_five_sets_complete():
 
 
 def test_bitmask_oracle_and_detector_classifiers_agree():
-    """Every linear system, row for row and in order: the bitmask route,
-    the share-table oracle and the generic detectors classify alike, and
-    the cover flag matches the oracle's."""
-    bitmask = list(iter_classified(False))
+    """Every linear system, row for row and in order: the bitmask walk,
+    the share-table oracle and the generic detectors run on the system
+    classify alike, and the walk's cover flag matches the oracle's."""
     oracle = [
-        (ids, share_table_has_wicket(ids), share_table_has_63(ids))
+        (
+            ids,
+            share_table_has_wicket(ids),
+            share_table_has_63(ids),
+            share_table_covers_grid(ids),
+        )
         for ids in grid_linear_systems(5)
     ]
     assert len(oracle) == FROZEN["linear"]
-    assert bitmask == oracle
-    assert list(iter_classified(True)) == oracle
-    covers = [share_table_covers_grid(ids) for ids, _, _ in oracle]
-    assert run_census().full_coverage == sum(covers)
+    assert list(iter_classified()) == oracle
+    detectors = [
+        (
+            ids,
+            bool(find_wickets(grid_system(ids), limit=1)),
+            bool(find_63(grid_system(ids))),
+        )
+        for ids, *_ in oracle
+    ]
+    assert detectors == [row[:3] for row in oracle]
+    assert run_census().full_coverage == sum(row[3] for row in oracle)
 
 
 def test_classifiers_match_oracle_on_any_ids():
@@ -107,7 +112,7 @@ def test_classifiers_match_oracle_on_any_ids():
     results on inputs the census never makes: non-linear systems, other
     sizes and repeated edges."""
     def has_63(ids):
-        return bool(find_63(grid_system(ids), limit=1))
+        return bool(find_63(grid_system(ids)))
 
     rng = random.Random(13)
     linear = grid_linear_systems(5)
@@ -122,21 +127,22 @@ def test_classifiers_match_oracle_on_any_ids():
 
 
 def test_iter_classified_rows():
-    rows = list(iter_classified(False))
+    rows = list(iter_classified())
     assert len(rows) == FROZEN["linear"]
-    wick = sum(1 for _, w, _ in rows if w)
-    six = sum(1 for _, _, s in rows if s)
-    neither = sum(1 for _, w, s in rows if not w and not s)
+    wick = sum(1 for _, w, _, _ in rows if w)
+    six = sum(1 for _, _, s, _ in rows if s)
+    neither = sum(1 for _, w, s, _ in rows if not w and not s)
     assert wick == FROZEN["wicket"]
     assert six == FROZEN["six_three"]
     assert neither == 0
-    assert all(not (w and s) for _, w, s in rows)
+    assert all(not (w and s) for _, w, s, _ in rows)
 
 
 def test_coverage_field():
-    rows = iter_classified(False)
-    covered = sum(1 for ids, _, _ in rows if share_table_covers_grid(ids))
+    rows = list(iter_classified())
+    covered = sum(1 for ids, *_ in rows if share_table_covers_grid(ids))
     assert covered == FROZEN["full_coverage"]
+    assert sum(1 for *_, covers in rows if covers) == covered
 
 
 def test_minimal_free_example_is_valid():
@@ -158,7 +164,7 @@ def test_degree_audit():
     a wicket, with degree profile (2,2,2,2,2,2,1,1,1)."""
     systems = degree3_without_63 = wicket_profile_mismatches = 0
     profiles = Counter()
-    for ids, has_wicket, _ in iter_classified(False):
+    for ids, has_wicket, _, _ in iter_classified():
         if not share_table_covers_grid(ids):
             continue
         systems += 1
@@ -178,6 +184,6 @@ def test_every_covering_wicket_free_system_has_63():
     """Degree arguments say a full-coverage linear system with a vertex
     of degree 3 always carries a (6,3); the census confirms no system
     escapes both patterns."""
-    for ids, has_wicket, _ in iter_classified(False):
+    for ids, has_wicket, _, _ in iter_classified():
         if not has_wicket:
             assert share_table_has_63(ids)

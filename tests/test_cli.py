@@ -17,14 +17,19 @@ from wicketlab import census, cli
 from wicketlab.errors import ColoringBudgetError
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, cwd=None, env=None):
-    """Run the CLI in a subprocess; `env` adds to the inherited one."""
+    """Run the CLI in a subprocess; `env` adds to the inherited one. The
+    absolute `src` path leads PYTHONPATH, so any `cwd` can import it."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "wicketlab.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=None if env is None else {**os.environ, **env},
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
         timeout=120,
     )
 
@@ -907,24 +912,26 @@ def test_census_cli(tmp_path):
 
 
 def test_census_csv_classifies_each_system_once(tmp_path, monkeypatch, capsys):
+    """`--detectors` is accepted and inert: no detector runs after
+    import, and stdout and the CSV equal plain `census`'s."""
     expected = [
         f"{','.join(map(str, ids))},{int(w)},{int(s)}"
-        for ids, w, s in census.iter_classified(True)
+        for ids, w, s, _ in census.iter_classified()
     ]
+    plain_csv = tmp_path / "plain.csv"
+    assert cli.main(["census", "--csv", str(plain_csv)]) == 0
+    plain = capsys.readouterr().out
     calls = []
-    find_wickets = census.find_wickets
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return find_wickets(*args, **kwargs)
-
-    monkeypatch.setattr(census, "find_wickets", counting)
+    for name in ("find_wickets", "find_63"):
+        monkeypatch.setattr(census, name, lambda *a, _n=name, **k: calls.append(_n))
     csv = tmp_path / "rows.csv"
     assert cli.main(["census", "--detectors", "--csv", str(csv)]) == 0
-    assert len(calls) == 3834
-    assert json.loads(capsys.readouterr().out)["linear"] == 3834
+    assert calls == []
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["linear"] == 3834
     lines = csv.read_text().splitlines()
     assert lines == ["e1,e2,e3,e4,e5,wicket,six_three"] + expected
+    assert csv.read_bytes() == plain_csv.read_bytes()
 
 
 def test_closed_stdout_exits_quietly():
@@ -1028,6 +1035,16 @@ def test_set_file_errors_exit_one(tmp_path, cap2, argv, repeated, undecodable):
     else:
         problem = f"duplicate of line 1: {first.decode()!r}"
     assert errors == [f"error: {bad}: line 2: {problem}"]
+
+
+def test_refusal_names_a_relative_path_as_given(tmp_path):
+    (tmp_path / "ok.txt").write_text("00\n01\n10\n11\n")
+    (tmp_path / "dup.txt").write_text("01\n01\n")
+    res = run_cli(
+        "cap", "product", "--left", "ok.txt", "--right", "dup.txt", cwd=tmp_path
+    )
+    assert res.returncode == 1
+    assert res.stderr == "error: dup.txt: line 2: duplicate of line 1: '01'\n"
 
 
 @pytest.mark.parametrize(

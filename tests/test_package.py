@@ -159,8 +159,8 @@ def test_cli_calls_the_value_set_before_main():
         import wicketlab.cli as cli
         calls = []
 
-        def stub(use_detectors=False, csv=None):
-            calls.append(use_detectors)
+        def stub(csv=None):
+            calls.append(csv)
             return wicketlab.CensusReport(
                 total_candidates=1, linear=2, wicket=3, six_three=4,
                 both=5, full_coverage=6, counterexamples=(),
@@ -176,7 +176,7 @@ def test_cli_calls_the_value_set_before_main():
                           "out": json.loads(out.getvalue())}))
         """
     )
-    assert seen["code"] == 0 and seen["calls"] == [False]
+    assert seen["code"] == 0 and seen["calls"] == [None]
     assert seen["same"] and seen["missing"] == []
     assert seen["out"]["linear"] == 2 and seen["out"]["both"] == 5
 
